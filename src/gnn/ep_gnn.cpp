@@ -40,39 +40,6 @@ Tensor EpGnn::forward(const Tensor& x, const SparseOperand& adj,
   return fc_.forward(ops::add(ep_self, cone_sum));
 }
 
-Tensor EpGnn::forward_batched(const Tensor& x, const SparseOperand& adj,
-                              const SparseOperand& cones,
-                              const std::vector<std::size_t>& ep_rows,
-                              std::size_t blocks) const {
-  RLCCD_EXPECTS(blocks >= 1);
-  RLCCD_EXPECTS(x.cols() == config_.in_features);
-  RLCCD_EXPECTS(x.rows() == adj.matrix.rows * blocks);
-  RLCCD_EXPECTS(cones.matrix.cols == adj.matrix.rows);
-  RLCCD_EXPECTS(cones.matrix.rows == ep_rows.size());
-  const std::size_t num_cells = adj.matrix.rows;
-
-  Tensor h = x;
-  for (std::size_t l = 0; l < proj_.size(); ++l) {
-    Tensor gamma = ops::sigmoid(gate_[l]);
-    Tensor one_minus = ops::affine(gamma, -1.0f, 1.0f);
-    Tensor self_term = ops::scale_by_scalar(proj_[l].forward(h), gamma);
-    Tensor neigh = ops::spmm_blocked(adj, h, blocks);
-    Tensor agg_term =
-        ops::scale_by_scalar(agg_[l].forward(neigh), one_minus);
-    h = ops::sigmoid(ops::add(self_term, agg_term));
-  }
-
-  // Gather each block's endpoint rows at their stacked offsets.
-  std::vector<std::size_t> stacked_rows;
-  stacked_rows.reserve(ep_rows.size() * blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    for (std::size_t r : ep_rows) stacked_rows.push_back(b * num_cells + r);
-  }
-  Tensor ep_self = ops::gather_rows(h, stacked_rows);
-  Tensor cone_sum = ops::spmm_blocked(cones, h, blocks);
-  return fc_.forward(ops::add(ep_self, cone_sum));
-}
-
 std::vector<Tensor> EpGnn::parameters() const {
   std::vector<Tensor> params;
   for (std::size_t l = 0; l < proj_.size(); ++l) {

@@ -36,16 +36,6 @@ class EpGnn {
                                const SparseOperand& cones,
                                const std::vector<std::size_t>& ep_rows) const;
 
-  // Batched forward for `blocks` independent copies of the same graph
-  // structure: X is [blocks * num_cells, in_features] (worker feature
-  // matrices stacked vertically) and the result is
-  // [blocks * num_endpoints, embedding]. Every op involved is
-  // row-independent (the spmm variants apply per block), so block b of the
-  // output is bit-identical to forward() on block b alone.
-  [[nodiscard]] Tensor forward_batched(
-      const Tensor& x, const SparseOperand& adj, const SparseOperand& cones,
-      const std::vector<std::size_t>& ep_rows, std::size_t blocks) const;
-
   [[nodiscard]] std::vector<Tensor> parameters() const;
   [[nodiscard]] const EpGnnConfig& config() const { return config_; }
 

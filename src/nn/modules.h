@@ -45,7 +45,7 @@ class LSTMCell {
   [[nodiscard]] State zero_state(std::size_t batch = 1) const;
   // x: [batch, input] -> next state. All gate arithmetic is row-independent,
   // so a batch of B rows computes exactly the B independent single-row
-  // forwards bit-for-bit (used by the batched rollout path).
+  // forwards bit-for-bit.
   [[nodiscard]] State forward(const Tensor& x, const State& prev) const;
 
   [[nodiscard]] std::vector<Tensor> parameters() const;

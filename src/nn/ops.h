@@ -43,18 +43,4 @@ Tensor masked_log_softmax(const Tensor& scores,
 // sparse values are constants (graph structure), only x carries gradient.
 Tensor spmm(const SparseOperand& sp, const Tensor& x);
 
-// Implicit block-diagonal sparse x dense for batched inference: x is
-// `blocks` row-blocks of sp.matrix.cols rows stacked vertically, and block
-// b of the output is sp.matrix * x_b. Per-block arithmetic is exactly
-// spmm(sp, x_b), so stacking W workers' activations preserves each
-// worker's values bit-for-bit.
-Tensor spmm_blocked(const SparseOperand& sp, const Tensor& x,
-                    std::size_t blocks);
-
-// Block-wise row broadcast: a is `blocks` row-blocks stacked vertically and
-// rows is [blocks, n]; row b is added to every row of block b. The batched
-// counterpart of add_rowvec (one query row per worker block).
-Tensor add_block_rows(const Tensor& a, const Tensor& rows,
-                      std::size_t blocks);
-
 }  // namespace rlccd::ops

@@ -1,10 +1,10 @@
 // The one seam through which the trainer turns a selection into a reward.
 //
 // The REINFORCE trainer evaluates every sampled endpoint selection by
-// running the full placement flow on a pristine copy of the design. It has
-// three execution backends — in-thread workers, the batched-inference path
-// and fork-isolated worker processes — and before this API each carried its
-// own ad-hoc evaluation lambda. RolloutEvaluator unifies them: every
+// running the full placement flow on a pristine copy of the design, from
+// in-thread workers or from fork-isolated worker processes, and before this
+// API each backend carried its own ad-hoc evaluation lambda.
+// RolloutEvaluator unifies them: every
 // backend builds an EvalRequest and receives an EvalOutcome, so the
 // flow-outcome cache (rl/flow_cache.h) plugs in at exactly one place and a
 // memoized outcome is indistinguishable from a fresh one everywhere

@@ -176,132 +176,12 @@ Policy::RolloutResult Policy::rollout(const DesignGraph& graph,
 std::vector<Policy::RolloutResult> Policy::rollout_batched(
     const DesignGraph& graph, std::vector<SelectionEnv>& envs,
     std::vector<Rng>& rngs, const std::vector<SelectionAudit*>& audits) const {
-  const std::size_t workers = envs.size();
-  RLCCD_EXPECTS(rngs.size() == workers && audits.size() == workers);
-  std::vector<RolloutResult> results(workers);
-  for (SelectionAudit* audit : audits) {
-    if (audit != nullptr) audit->clear();
-  }
-
-  const std::size_t num_cells = graph.adjacency().matrix.rows;
-  const std::size_t num_eps = graph.endpoint_rows().size();
-  const std::size_t in_features = config_.gnn.in_features;
-  const std::size_t emb = config_.gnn.embedding;
-  const std::size_t hidden = config_.lstm_hidden;
-
-  // Per-worker recurrent state, kept as detached single-row tensors between
-  // steps and restacked over the still-active workers each step.
-  std::vector<Tensor> h(workers), c(workers), prev_emb(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    h[w] = Tensor::zeros(1, hidden);
-    c[w] = Tensor::zeros(1, hidden);
-    prev_emb[w] = Tensor::zeros(1, emb);
-  }
-
-  while (true) {
-    std::vector<std::size_t> active;
-    for (std::size_t w = 0; w < workers; ++w) {
-      if (!results[w].poisoned && !envs[w].done()) active.push_back(w);
-    }
-    if (active.empty()) break;
-    const std::size_t batch = active.size();
-
-    // 1. Stack the active workers' masked feature matrices and state rows.
-    Tensor x_all = Tensor::zeros(batch * num_cells, in_features);
-    Tensor h_all = Tensor::zeros(batch, hidden);
-    Tensor c_all = Tensor::zeros(batch, hidden);
-    Tensor emb_all = Tensor::zeros(batch, emb);
-    for (std::size_t a = 0; a < batch; ++a) {
-      const std::size_t w = active[a];
-      Tensor x = graph.features_with_mask(envs[w].cell_mask_flags());
-      std::copy(x.data(), x.data() + x.size(),
-                x_all.data() + a * num_cells * in_features);
-      std::copy(h[w].data(), h[w].data() + hidden, h_all.data() + a * hidden);
-      std::copy(c[w].data(), c[w].data() + hidden, c_all.data() + a * hidden);
-      std::copy(prev_emb[w].data(), prev_emb[w].data() + emb,
-                emb_all.data() + a * emb);
-    }
-
-    // 2. One EP-GNN / LSTM / attention evaluation for the whole batch.
-    Tensor f_all = gnn_.forward_batched(x_all, graph.adjacency(),
-                                        graph.cone_matrix(),
-                                        graph.endpoint_rows(), batch);
-    LSTMCell::State state = lstm_.forward(emb_all, {h_all, c_all});
-    Tensor scores_all = ops::matmul(
-        ops::tanh_op(ops::add_block_rows(ops::matmul(f_all, attn_w1_),
-                                         ops::matmul(state.h, attn_w2_),
-                                         batch)),
-        attn_v_);  // [batch * num_eps, 1]
-
-    // 3. Per-worker block: fault/finiteness guard, masked softmax over the
-    // worker's own block (the normalizer must not mix workers), sampling
-    // from the worker's stream, audit capture, env step.
-    for (std::size_t a = 0; a < batch; ++a) {
-      const std::size_t w = active[a];
-      RolloutResult& result = results[w];
-      SelectionEnv& env = envs[w];
-      SelectionAudit* audit = audits[w];
-
-      Tensor scores = Tensor::zeros(num_eps, 1);
-      std::copy(scores_all.data() + a * num_eps,
-                scores_all.data() + (a + 1) * num_eps, scores.data());
-      if (fault_fire("nan_logits")) {
-        scores.set(0, 0, std::numeric_limits<float>::quiet_NaN());
-      }
-      bool logits_finite = true;
-      for (std::size_t i = 0; i < scores.size(); ++i) {
-        if (!std::isfinite(scores.data()[i])) {
-          logits_finite = false;
-          break;
-        }
-      }
-      if (!logits_finite) {
-        static MetricsCounter& ctr_nonfinite =
-            MetricsRegistry::global().counter("policy.nonfinite_logits");
-        ctr_nonfinite.increment();
-        result.poisoned = true;
-        if (audit != nullptr) audit->poisoned = true;
-        continue;
-      }
-
-      Tensor log_probs = ops::masked_log_softmax(scores, env.valid());
-      std::vector<float> probs(log_probs.rows());
-      for (std::size_t i = 0; i < probs.size(); ++i) {
-        probs[i] = env.valid()[i] ? std::exp(log_probs.at(i, 0)) : 0.0f;
-      }
-      const std::size_t action = rngs[w].sample_probabilities(probs);
-      RLCCD_ASSERT(env.valid()[action]);
-
-      result.log_prob_value += log_probs.at(action, 0);
-      result.actions.push_back(action);
-
-      AuditStep* audit_step = nullptr;
-      if (audit != nullptr) {
-        audit->steps.emplace_back();
-        audit_step = &audit->steps.back();
-        audit_step->chosen = static_cast<std::uint32_t>(action);
-        audit_step->slack = graph.endpoint_slacks()[action];
-        audit_step->log_prob = log_probs.at(action, 0);
-        capture_audit_step(*audit_step, log_probs, env.valid());
-      }
-
-      // Next-step LSTM input: the chosen endpoint's embedding row from the
-      // worker's block, plus this worker's rows of the new LSTM state.
-      std::copy(f_all.data() + (a * num_eps + action) * emb,
-                f_all.data() + (a * num_eps + action + 1) * emb,
-                prev_emb[w].data());
-      std::copy(state.h.data() + a * hidden,
-                state.h.data() + (a + 1) * hidden, h[w].data());
-      std::copy(state.c.data() + a * hidden,
-                state.c.data() + (a + 1) * hidden, c[w].data());
-
-      env.step(action, audit_step != nullptr ? &audit_step->masked : nullptr);
-      ++result.steps;
-    }
-  }
-
-  for (std::size_t w = 0; w < workers; ++w) {
-    results[w].selected = envs[w].selected_pins();
+  RLCCD_EXPECTS(rngs.size() == envs.size() && audits.size() == envs.size());
+  std::vector<RolloutResult> results;
+  results.reserve(envs.size());
+  for (std::size_t w = 0; w < envs.size(); ++w) {
+    results.push_back(rollout(graph, envs[w], rngs[w], /*greedy=*/false,
+                              RolloutMode::Inference, audits[w]));
   }
   return results;
 }

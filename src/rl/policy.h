@@ -63,24 +63,17 @@ class Policy {
   // takes (*forced)[t] instead of sampling, consumes no RNG draws, and skips
   // fault injection (the triggers were already consumed when the trajectory
   // was first decoded). The op sequence is otherwise identical, so a
-  // StepwiseBackward replay of a batched-inference trajectory accumulates
-  // bit-identical parameter gradients to a live per-worker rollout.
+  // StepwiseBackward replay of a decoded trajectory accumulates bit-identical
+  // parameter gradients to the live stepwise rollout that produced it.
   RolloutResult rollout(const DesignGraph& graph, SelectionEnv& env, Rng& rng,
                         bool greedy = false,
                         RolloutMode mode = RolloutMode::FullGraph,
                         SelectionAudit* audit = nullptr,
                         const std::vector<std::size_t>* forced = nullptr) const;
 
-  // Lock-step batched inference over `envs.size()` independent trajectories
-  // on the same design graph: each step stacks the still-active workers'
-  // feature matrices into one [active * num_cells, d] tensor and runs a
-  // single EP-GNN / LSTM / attention evaluation for all of them
-  // (`forward_batched`, batched LSTM rows, add_block_rows), then samples
-  // each worker's action from its own RNG stream. Every batched op is
-  // row/block-independent, so actions, log-probs and audit records are
-  // bit-identical to per-worker rollout() calls with the same RNG streams.
-  // Gradient-free (RolloutMode::Inference semantics); pair with a
-  // teacher-forced StepwiseBackward replay for training.
+  // Decodes `envs.size()` independent sampled trajectories, one rollout()
+  // per env in RolloutMode::Inference with its own RNG stream and audit
+  // (null entries skip the capture), in env order.
   std::vector<RolloutResult> rollout_batched(
       const DesignGraph& graph, std::vector<SelectionEnv>& envs,
       std::vector<Rng>& rngs, const std::vector<SelectionAudit*>& audits) const;

@@ -20,6 +20,31 @@
 
 namespace rlccd {
 
+namespace {
+
+// Moves an isolated worker's shipped gradients into the parent's clone of
+// that worker, where the thread backend leaves them too. The shapes arrive
+// over a pipe, so they are checked against the policy's parameters.
+Status adopt_gradients(std::vector<std::vector<float>>& grads, Policy& clone) {
+  std::vector<Tensor> params = clone.parameters();
+  if (grads.size() != params.size()) {
+    return Status::corrupt("rollout wire has %zu gradient tensors, policy has "
+                           "%zu parameters",
+                           grads.size(), params.size());
+  }
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    if (grads[p].size() != params[p].size()) {
+      return Status::corrupt("gradient tensor %zu has %zu values, parameter "
+                             "has %zu",
+                             p, grads[p].size(), params[p].size());
+    }
+    params[p].grad_mut() = std::move(grads[p]);
+  }
+  return Status();
+}
+
+}  // namespace
+
 ReinforceTrainer::ReinforceTrainer(const Design* design, Policy* policy,
                                    TrainConfig config)
     : design_(design),
@@ -208,14 +233,19 @@ TrainStats ReinforceTrainer::train() {
   // normalization (rewards are recomputed on cache hits, never stored).
   evaluator_.set_reward_transform(stats.default_tns, reward_denom);
 
+  // One worker's rollout. Its advantage-scaled gradients are not copied
+  // here: they stay in the worker's policy clone until the merge.
   struct WorkerOut {
     EvalOutcome outcome;   // reward evaluation (fresh or memoized)
     int steps = 0;
     bool poisoned = false;  // non-finite logits/TNS/reward/gradients
     bool crashed = false;   // isolated worker lost (restarts exhausted)
     std::vector<PinId> selection;
-    std::vector<std::vector<float>> grads;  // per parameter
-    SelectionAudit audit;                   // decision provenance
+    SelectionAudit audit;   // decision provenance
+
+    [[nodiscard]] bool survived() const {
+      return !poisoned && !outcome.cancelled && !crashed;
+    }
   };
 
   bool use_isolation = config_.isolate_workers;
@@ -264,49 +294,23 @@ TrainStats ReinforceTrainer::train() {
 
     std::vector<WorkerOut> outs(static_cast<std::size_t>(config_.workers));
 
-    // Phase A (batched mode only): one lock-step batched decode for every
-    // worker on this thread. Forking the root RNG is pure (it never mutates
-    // the root state), so the per-worker streams are the exact streams the
-    // per-worker path forks inside its threads, and checkpoints carry the
-    // same root RNG state either way.
-    std::vector<Policy::RolloutResult> ros;
-    if (config_.batched_inference && !use_isolation) {
-      RLCCD_SPAN("rollout_batched");
-      std::vector<SelectionEnv> envs;
-      std::vector<Rng> rngs;
-      std::vector<SelectionAudit*> audits;
-      envs.reserve(static_cast<std::size_t>(config_.workers));
-      rngs.reserve(static_cast<std::size_t>(config_.workers));
-      audits.reserve(static_cast<std::size_t>(config_.workers));
-      for (int w = 0; w < config_.workers; ++w) {
-        envs.emplace_back(&graph_, config_.overlap_threshold);
-        rngs.push_back(root_rng.fork(static_cast<std::uint64_t>(iter) * 131 +
-                                     static_cast<std::uint64_t>(w)));
-        audits.push_back(&outs[static_cast<std::size_t>(w)].audit);
-      }
-      ros = policy_->rollout_batched(graph_, envs, rngs, audits);
-    }
-
-    // Rollout body shared by both backends: decode (or adopt the batched
-    // phase-A result), run the reward flow, scale this clone's gradients.
-    // Runs on a worker thread, or — isolated — inside a forked child.
+    // Rollout body shared by both backends: decode, run the reward flow,
+    // scale this clone's gradients. Runs on a worker thread, or — isolated —
+    // inside a forked child. Forking the root RNG is pure (it never mutates
+    // the root state), so each worker's stream depends only on (iteration,
+    // worker), never on scheduling.
     auto rollout_body = [&](int w, Policy& pol, WorkerOut& out,
-                            const CancelToken* watchdog,
-                            Policy::RolloutResult* pre) {
-      Policy::RolloutResult ro;
-      if (pre != nullptr) {
-        ro = std::move(*pre);
-      } else {
-        Rng rng = root_rng.fork(static_cast<std::uint64_t>(iter) * 131 +
-                                static_cast<std::uint64_t>(w));
-        SelectionEnv env(&graph_, config_.overlap_threshold);
-        // Stepwise rollout: sum_t grad(log pi_t) lands in the clone's
-        // parameter grads (zero on entry) with per-step graphs freed.
-        ro = pol.rollout(graph_, env, rng, /*greedy=*/false,
-                         Policy::RolloutMode::StepwiseBackward, &out.audit);
-      }
+                            const CancelToken* watchdog) {
+      Rng rng = root_rng.fork(static_cast<std::uint64_t>(iter) * 131 +
+                              static_cast<std::uint64_t>(w));
+      SelectionEnv env(&graph_, config_.overlap_threshold);
+      // Stepwise rollout: sum_t grad(log pi_t) lands in the clone's
+      // parameter grads (zero on entry) with per-step graphs freed.
+      Policy::RolloutResult ro =
+          pol.rollout(graph_, env, rng, /*greedy=*/false,
+                      Policy::RolloutMode::StepwiseBackward, &out.audit);
       out.steps = ro.steps;
-      out.selection = ro.selected;
+      out.selection = std::move(ro.selected);
       if (ro.poisoned) {
         out.poisoned = true;
         ctr_poisoned.increment();
@@ -314,7 +318,7 @@ TrainStats ReinforceTrainer::train() {
         RLCCD_LOG_WARN("worker %d: non-finite logits; trajectory dropped", w);
         return;
       }
-      out.outcome = evaluator_.evaluate({ro.selected, watchdog});
+      out.outcome = evaluator_.evaluate({out.selection, watchdog});
       if (out.outcome.cancelled) {
         ctr_cancelled.increment();
         RLCCD_TRACE_INSTANT("train.rollout_cancelled");
@@ -337,39 +341,18 @@ TrainStats ReinforceTrainer::train() {
         return;
       }
 
-      // Phase C (batched mode only): teacher-forced StepwiseBackward
-      // replay of the decoded trajectory on this worker's clone. The
-      // replay runs the identical op sequence with the identical inputs
-      // (same clone parameters, same env transitions, forced actions), so
-      // it accumulates bit-identical sum_t grad(log pi_t) to a live
-      // per-worker stepwise rollout — without holding any graph across the
-      // batched decode.
-      if (pre != nullptr) {
-        SelectionEnv replay_env(&graph_, config_.overlap_threshold);
-        Rng replay_rng(0);  // never drawn from in forced mode
-        Policy::RolloutResult replay = pol.rollout(
-            graph_, replay_env, replay_rng, /*greedy=*/false,
-            Policy::RolloutMode::StepwiseBackward, /*audit=*/nullptr,
-            &ro.actions);
-        RLCCD_ASSERT(!replay.poisoned && replay.steps == ro.steps);
-      }
-
-      // REINFORCE: grad = -(r - b) * sum_t grad(log pi_t); the baseline
-      // is read once before the workers launch.
+      // REINFORCE: grad = -(r - b) * sum_t grad(log pi_t), scaled in place
+      // in the clone; the baseline is read once before the workers launch.
       const float scale = static_cast<float>(-(out.outcome.reward - baseline));
-      std::vector<Tensor> params = pol.parameters();
-      out.grads.reserve(params.size());
       bool grads_finite = true;
-      for (Tensor& p : params) {
-        std::vector<float> g = p.grad();
+      for (Tensor& p : pol.parameters()) {
+        std::vector<float>& g = p.grad_mut();
         for (float& v : g) v *= scale;
         if (!all_finite(g)) grads_finite = false;
-        out.grads.push_back(std::move(g));
       }
       if (!grads_finite) {
         out.poisoned = true;
         ctr_poisoned.increment();
-        out.grads.clear();
         RLCCD_LOG_WARN(
             "worker %d: non-finite gradients; trajectory dropped", w);
       }
@@ -377,11 +360,10 @@ TrainStats ReinforceTrainer::train() {
 
     int n_crashed = 0;
     if (use_isolation) {
-      // Process backend: fork one supervised child per worker. Decoding is
-      // per-worker inside the child (phase A is skipped; the batched and
-      // per-worker decodes are pinned bit-identical by the equivalence
-      // tests), and the supervisor's SIGKILL deadline supersedes the
-      // cooperative watchdog, so the child runs its flow uncancellable.
+      // Process backend: fork one supervised child per worker. The child
+      // runs the same rollout body as a worker thread; the supervisor's
+      // SIGKILL deadline supersedes the cooperative watchdog, so the child
+      // runs its flow uncancellable.
       SupervisorConfig scfg;
       scfg.workers = config_.workers;
       scfg.deadline_sec = config_.rollout_deadline_sec;
@@ -401,20 +383,24 @@ TrainStats ReinforceTrainer::train() {
             // so the parent can re-apply them.
             TelemetryScope scope;
             WorkerOut out;
+            Policy& pol = clones[static_cast<std::size_t>(w)];
             {
               RLCCD_SPAN("rollout");
               // Deterministic stall fault: parks the worker past its
               // deadline (here: until the supervisor kills it).
               fault_stall_point("rollout_stall");
-              rollout_body(w, clones[static_cast<std::size_t>(w)], out,
-                           /*watchdog=*/nullptr, /*pre=*/nullptr);
+              rollout_body(w, pol, out, /*watchdog=*/nullptr);
             }
             RolloutWire wire;
             wire.outcome = out.outcome;
             wire.steps = out.steps;
             wire.poisoned = out.poisoned;
             wire.selection = std::move(out.selection);
-            wire.grads = std::move(out.grads);
+            if (out.survived()) {
+              for (const Tensor& p : pol.parameters()) {
+                wire.grads.push_back(p.grad());
+              }
+            }
             wire.audit = std::move(out.audit);
             wire.telemetry = scope.snapshot();
             std::string payload;
@@ -432,6 +418,9 @@ TrainStats ReinforceTrainer::train() {
                                    "(last failure: %s)",
                                    oc.attempts,
                                    worker_failure_name(oc.last_failure));
+        if (ds.ok() && !wire.poisoned && !wire.outcome.cancelled) {
+          ds = adopt_gradients(wire.grads, clones[static_cast<std::size_t>(w)]);
+        }
         if (!ds.ok()) {
           out.crashed = true;
           ++n_crashed;
@@ -445,7 +434,6 @@ TrainStats ReinforceTrainer::train() {
         out.steps = wire.steps;
         out.poisoned = wire.poisoned;
         out.selection = std::move(wire.selection);
-        out.grads = std::move(wire.grads);
         out.audit = std::move(wire.audit);
         // Adopt the child's fresh flow outcome into the parent's cache: the
         // child's own insert went into its copy-on-write image and died
@@ -484,10 +472,7 @@ TrainStats ReinforceTrainer::train() {
           // Deterministic stall fault: parks the worker past its deadline.
           fault_stall_point("rollout_stall");
           rollout_body(w, clones[static_cast<std::size_t>(w)],
-                       outs[static_cast<std::size_t>(w)], &watchdog,
-                       config_.batched_inference
-                           ? &ros[static_cast<std::size_t>(w)]
-                           : nullptr);
+                       outs[static_cast<std::size_t>(w)], &watchdog);
         });
       }
       for (std::thread& t : threads) t.join();
@@ -524,7 +509,7 @@ TrainStats ReinforceTrainer::train() {
       if (out.outcome.flow_ran) ++stats.flow_runs;
       if (out.poisoned) ++n_poisoned;
       if (out.outcome.cancelled) ++n_cancelled;
-      if (!out.poisoned && !out.outcome.cancelled && !out.crashed) ++survivors;
+      if (out.survived()) ++survivors;
     }
 
     const double iter_seconds_so_far =
@@ -587,17 +572,20 @@ TrainStats ReinforceTrainer::train() {
     }
     consecutive_failures = 0;
 
-    // Merge surviving gradients into the master policy (fixed order =>
-    // deterministic). With no failures this is the plain 1/workers mean.
+    // Merge the surviving clones' gradients into the master policy (fixed
+    // worker order => deterministic). With no failures this is the plain
+    // 1/workers mean.
     optimizer.zero_grad();
     std::vector<Tensor> master = policy_->parameters();
     const float inv_w = 1.0f / static_cast<float>(survivors);
-    for (const WorkerOut& out : outs) {
-      if (out.poisoned || out.outcome.cancelled || out.crashed) continue;
+    for (int w = 0; w < config_.workers; ++w) {
+      if (!outs[static_cast<std::size_t>(w)].survived()) continue;
+      const std::vector<Tensor> src =
+          clones[static_cast<std::size_t>(w)].parameters();
       for (std::size_t p = 0; p < master.size(); ++p) {
         std::vector<float>& g = master[p].grad_mut();
-        const std::vector<float>& src = out.grads[p];
-        for (std::size_t i = 0; i < g.size(); ++i) g[i] += src[i] * inv_w;
+        const std::vector<float>& s = src[p].grad();
+        for (std::size_t i = 0; i < g.size(); ++i) g[i] += s[i] * inv_w;
       }
     }
     const double grad_norm = clip_grad_norm(master, config_.grad_clip);
@@ -607,7 +595,7 @@ TrainStats ReinforceTrainer::train() {
     IterationStats is;
     double iter_best = -1e300;
     for (const WorkerOut& out : outs) {
-      if (out.poisoned || out.outcome.cancelled || out.crashed) continue;
+      if (!out.survived()) continue;
       const double tns = out.outcome.summary.tns;
       is.mean_reward += out.outcome.reward;
       is.mean_tns += tns;

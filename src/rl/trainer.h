@@ -3,7 +3,11 @@
 // Each iteration rolls out `workers` trajectories in parallel (the paper
 // trains with 8 parallel processes on CPU farms; we use threads with
 // per-worker policy clones so gradient accumulation is race-free and
-// deterministic). The terminal reward of a trajectory is the final TNS of
+// deterministic). A worker decodes its trajectory on its own clone with a
+// StepwiseBackward rollout, which leaves sum_t grad(log pi_t) in the
+// clone's parameter grads, then runs the reward flow and scales those
+// grads by the advantage in place; the merge reads every surviving clone's
+// grads in worker order. The terminal reward of a trajectory is the final TNS of
 // the full placement flow run with the trajectory's selection, normalized
 // against the default flow's TNS; a moving-average baseline reduces
 // variance. Training stops when the best TNS has not improved for
@@ -51,15 +55,6 @@ struct TrainConfig {
   double grad_clip = 5.0;
   double overlap_threshold = 0.3;  // rho (paper default)
   double baseline_decay = 0.7;
-  // Decode all workers' trajectories with one lock-step batched policy
-  // evaluation per step (EP-GNN / LSTM / attention over every still-active
-  // worker stacked into a single tensor) on the training thread, instead of
-  // `workers` independent single-row forwards inside the worker threads.
-  // Gradients come from a teacher-forced StepwiseBackward replay on each
-  // surviving worker's clone. Bit-identical TrainStats, audit records and
-  // checkpoints to the per-worker path (which is kept, and pinned against
-  // this one by the equivalence tests).
-  bool batched_inference = true;
   // Flow-outcome cache budget in MiB (rl/flow_cache.h): memoizes reward
   // evaluations by netlist-state hash, so a selection set the policy has
   // already sampled skips the whole placement flow. 0 disables. Training
@@ -92,8 +87,9 @@ struct TrainConfig {
   // to older ones when the newest is corrupt). A resumed run replays the
   // remaining iterations bit-identically to an uninterrupted run.
   bool resume = false;
-  // Per-rollout wall-clock deadline for the reward flow; <= 0 disables the
-  // watchdog. Expired rollouts are cancelled at the next pass boundary and
+  // Per-rollout wall-clock deadline, counted from the start of the worker's
+  // decode; <= 0 disables the watchdog. The reward flow polls it, so an
+  // expired rollout is cancelled at the flow's next pass boundary and
   // excluded from the gradient estimate.
   double rollout_deadline_sec = 0.0;
   // Cooperative stop for long-lived hosts (the serve daemon's SIGTERM
@@ -117,10 +113,10 @@ struct TrainConfig {
   // with the surviving trajectories (the crashed worker's audit record is
   // marked `crashed`). When on, `rollout_deadline_sec` becomes a hard
   // SIGKILL deadline enforced by the parent (superseding the cooperative
-  // watchdog) and decoding is per-worker inside each child (bit-identical
-  // to the batched path, which the equivalence tests pin). A crash-free
-  // isolated run produces bit-identical TrainStats, checkpoints and audit
-  // bytes to the thread backend. Ignored (with a warning) on platforms
+  // watchdog). A child runs the same rollout as a worker thread and ships
+  // its scaled gradients back over the wire. A crash-free isolated run
+  // produces bit-identical TrainStats, checkpoints and audit bytes to the
+  // thread backend. Ignored (with a warning) on platforms
   // without fork(); the thread backend remains the default.
   bool isolate_workers = false;
   // Restarts allowed per worker per iteration; attempts = restarts + 1.
