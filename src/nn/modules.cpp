@@ -20,7 +20,7 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng) {
 }
 
 Tensor Linear::forward(const Tensor& x) const {
-  return ops::add_rowvec(ops::matmul(x, w_), b_);
+  return ops::linear(x, w_, b_);
 }
 
 LSTMCell::LSTMCell(std::size_t input_size, std::size_t hidden_size, Rng& rng)

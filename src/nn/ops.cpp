@@ -2,66 +2,225 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 namespace rlccd::ops {
 
 namespace {
 
-// Accumulates `n` values of src into dst->grad if dst wants gradients.
+// True when `t` exists and accumulates a gradient (requires_grad).
 inline bool wants_grad(TensorImpl* t) { return t != nullptr && t->requires_grad; }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// Dense kernels (DESIGN.md Sec. 5, "Dense kernels").
+//
+// matmul's three products -- out = A*B, dA += dO*B^T, dB += A^T*dO -- all run
+// on one register tile: kTileRows rows x kTileCols columns of the result stay
+// in vector registers for the whole reduction, and each reduction step adds
+// one term per element. Every element still adds its terms one at a time, in
+// the order of the textbook loops, from the same starting value and with the
+// same `a == 0` skips; only how many elements are in flight changes. Under
+// the build's -ffp-contract=off the results are therefore bit-identical to
+// the textbook loops (tests/nn/ops_kernel_test.cpp keeps them as reference).
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  RLCCD_EXPECTS(a.cols() == b.rows());
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  Tensor out = make_result(m, n, {a.ptr(), b.ptr()});
-  TensorImpl* ai = a.ptr().get();
-  TensorImpl* bi = b.ptr().get();
-  TensorImpl* oi = out.ptr().get();
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = ai->value.data() + i * k;
-    float* orow = oi->value.data() + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      float av = arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = bi->value.data() + kk * n;
-      for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileCols = 16;
+// Lanes is one vector register of the target, a tile row kRowVecs of them:
+// 256 bits with AVX (also what GCC prefers on AVX-512 parts), else 128 bits
+// (SSE2, NEON; builds without -march=native). A generic vector wider than
+// the target's registers is lowered through memory and runs slower than the
+// textbook loops. The width never changes results, only speed.
+#if defined(__AVX__)
+constexpr std::size_t kLaneWidth = 8;
+#else
+constexpr std::size_t kLaneWidth = 4;
+#endif
+constexpr std::size_t kRowVecs = kTileCols / kLaneWidth;
+using Lanes = float __attribute__((vector_size(kLaneWidth * sizeof(float))));
+
+using Tile = float[kTileCols];
+
+// tile[r][:] += sum_t s[r * s_row + t * s_step] * row_t[:], t ascending,
+// where row_t = rows + t * row_step holds kTileCols floats. With kSkipZero a
+// term whose scalar is 0 is skipped, as the textbook loops skip `a == 0`.
+template <std::size_t R, bool kSkipZero>
+void accumulate_tile(Tile (&tile)[R], const float* s, std::size_t s_row,
+                     std::size_t s_step, const float* rows,
+                     std::size_t row_step, std::size_t steps) {
+  Lanes acc[R][kRowVecs];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < kRowVecs; ++q) {
+      std::memcpy(&acc[r][q], &tile[r][q * kLaneWidth], sizeof(Lanes));
     }
   }
+  for (std::size_t t = 0; t < steps; ++t) {
+    Lanes v[kRowVecs];
+    for (std::size_t q = 0; q < kRowVecs; ++q) {
+      std::memcpy(&v[q], rows + t * row_step + q * kLaneWidth, sizeof(Lanes));
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      const float sv = s[r * s_row + t * s_step];
+      if constexpr (kSkipZero) {
+        if (sv == 0.0f) continue;
+      }
+      for (std::size_t q = 0; q < kRowVecs; ++q) acc[r][q] += sv * v[q];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < kRowVecs; ++q) {
+      std::memcpy(&tile[r][q * kLaneWidth], &acc[r][q], sizeof(Lanes));
+    }
+  }
+}
+
+// Calls f(rows_in_tile, first_row) over [0, n): whole kTileRows tiles, then
+// single rows. rows_in_tile is a std::integral_constant.
+template <class F>
+void for_each_row_tile(std::size_t n, F&& f) {
+  std::size_t r = 0;
+  for (; r + kTileRows <= n; r += kTileRows) {
+    f(std::integral_constant<std::size_t, kTileRows>{}, r);
+  }
+  for (; r < n; ++r) f(std::integral_constant<std::size_t, 1>{}, r);
+}
+
+// out[m,n] = a[m,k] * b[k,n] (+ bias[n] on every row). Column tiles of b are
+// packed, zero-padded to kTileCols, so a tail tile runs the same kernel.
+void gemm_forward(const float* a, const float* b, const float* bias,
+                  float* out, std::size_t m, std::size_t k, std::size_t n) {
+  std::vector<float> panel(k * kTileCols);
+  for (std::size_t j0 = 0; j0 < n; j0 += kTileCols) {
+    const std::size_t cols = std::min(kTileCols, n - j0);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      for (std::size_t c = 0; c < kTileCols; ++c) {
+        panel[kk * kTileCols + c] = c < cols ? b[kk * n + j0 + c] : 0.0f;
+      }
+    }
+    for_each_row_tile(m, [&](auto rows, std::size_t i0) {
+      constexpr std::size_t R = decltype(rows)::value;
+      Tile tile[R] = {};
+      accumulate_tile<R, true>(tile, a + i0 * k, k, 1, panel.data(),
+                               kTileCols, k);
+      for (std::size_t r = 0; r < R; ++r) {
+        float* orow = out + (i0 + r) * n + j0;
+        for (std::size_t c = 0; c < cols; ++c) {
+          orow[c] = bias != nullptr ? tile[r][c] + bias[j0 + c] : tile[r][c];
+        }
+      }
+    });
+  }
+}
+
+// da[m,k] += dout[m,n] * b[k,n]^T. Vectorized across k over a packed B^T:
+// each element's n-term sum stays one serial chain in j order, as in the
+// textbook loop (vectorizing across j would reassociate that sum).
+void gemm_grad_a(const float* dout, const float* b, float* da, std::size_t m,
+                 std::size_t k, std::size_t n) {
+  std::vector<float> panel(n * kTileCols);
+  for (std::size_t kk0 = 0; kk0 < k; kk0 += kTileCols) {
+    const std::size_t cols = std::min(kTileCols, k - kk0);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t c = 0; c < kTileCols; ++c) {
+        panel[j * kTileCols + c] = c < cols ? b[(kk0 + c) * n + j] : 0.0f;
+      }
+    }
+    for_each_row_tile(m, [&](auto rows, std::size_t i0) {
+      constexpr std::size_t R = decltype(rows)::value;
+      Tile tile[R] = {};
+      accumulate_tile<R, false>(tile, dout + i0 * n, n, 1, panel.data(),
+                                kTileCols, n);
+      for (std::size_t r = 0; r < R; ++r) {
+        float* darow = da + (i0 + r) * k + kk0;
+        for (std::size_t c = 0; c < cols; ++c) darow[c] += tile[r][c];
+      }
+    });
+  }
+}
+
+// db[k,n] += a[m,k]^T * dout[m,n]: a tile of db rows is loaded from the
+// existing grad and the i-ordered products are added onto it. A tail column
+// tile reads a zero-padded copy of its dout columns.
+void gemm_grad_b(const float* a, const float* dout, float* db, std::size_t m,
+                 std::size_t k, std::size_t n) {
+  if (m == 0) return;
+  std::vector<float> panel;
+  for (std::size_t j0 = 0; j0 < n; j0 += kTileCols) {
+    const std::size_t cols = std::min(kTileCols, n - j0);
+    const float* g = dout + j0;
+    std::size_t g_step = n;
+    if (cols < kTileCols) {
+      panel.assign(m * kTileCols, 0.0f);
+      for (std::size_t i = 0; i < m; ++i) {
+        std::copy_n(dout + i * n + j0, cols, panel.data() + i * kTileCols);
+      }
+      g = panel.data();
+      g_step = kTileCols;
+    }
+    for_each_row_tile(k, [&](auto rows, std::size_t kk0) {
+      constexpr std::size_t R = decltype(rows)::value;
+      Tile tile[R] = {};
+      for (std::size_t r = 0; r < R; ++r) {
+        std::copy_n(db + (kk0 + r) * n + j0, cols, tile[r]);
+      }
+      accumulate_tile<R, true>(tile, a + kk0, 1, k, g, g_step, m);
+      for (std::size_t r = 0; r < R; ++r) {
+        std::copy_n(tile[r], cols, db + (kk0 + r) * n + j0);
+      }
+    });
+  }
+}
+
+// a * b, plus `bias` broadcast over rows when given (ops::linear).
+Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor* bias) {
+  RLCCD_EXPECTS(a.cols() == b.rows());
+  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+  std::vector<std::shared_ptr<TensorImpl>> parents{a.ptr(), b.ptr()};
+  if (bias != nullptr) {
+    RLCCD_EXPECTS(bias->rows() == 1 && bias->cols() == n);
+    parents.push_back(bias->ptr());
+  }
+  Tensor out = make_result(m, n, std::move(parents));
+  TensorImpl* ai = a.ptr().get();
+  TensorImpl* bi = b.ptr().get();
+  TensorImpl* ri = bias != nullptr ? bias->ptr().get() : nullptr;
+  TensorImpl* oi = out.ptr().get();
+  gemm_forward(ai->value.data(), bi->value.data(),
+               ri != nullptr ? ri->value.data() : nullptr, oi->value.data(),
+               m, k, n);
   if (oi->requires_grad) {
-    oi->backward_fn = [ai, bi, oi, m, k, n]() {
+    oi->backward_fn = [ai, bi, ri, oi, m, k, n]() {
       if (wants_grad(ai)) {
         ai->ensure_grad();
-        // dA = dO * B^T
-        for (std::size_t i = 0; i < m; ++i) {
-          const float* grow = oi->grad.data() + i * n;
-          float* agrow = ai->grad.data() + i * k;
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            const float* brow = bi->value.data() + kk * n;
-            float acc = 0.0f;
-            for (std::size_t j = 0; j < n; ++j) acc += grow[j] * brow[j];
-            agrow[kk] += acc;
-          }
-        }
+        gemm_grad_a(oi->grad.data(), bi->value.data(), ai->grad.data(), m, k,
+                    n);
       }
       if (wants_grad(bi)) {
         bi->ensure_grad();
-        // dB = A^T * dO
+        gemm_grad_b(ai->value.data(), oi->grad.data(), bi->grad.data(), m, k,
+                    n);
+      }
+      if (wants_grad(ri)) {
+        ri->ensure_grad();
         for (std::size_t i = 0; i < m; ++i) {
-          const float* arow = ai->value.data() + i * k;
-          const float* grow = oi->grad.data() + i * n;
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            float av = arow[kk];
-            if (av == 0.0f) continue;
-            float* bgrow = bi->grad.data() + kk * n;
-            for (std::size_t j = 0; j < n; ++j) bgrow[j] += av * grow[j];
+          for (std::size_t j = 0; j < n; ++j) {
+            ri->grad[j] += oi->grad[i * n + j];
           }
         }
       }
     };
   }
   return out;
+}
+
+}  // namespace
+
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  return matmul_bias(a, b, nullptr);
+}
+
+Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b) {
+  return matmul_bias(x, w, &b);
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {

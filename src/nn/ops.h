@@ -12,6 +12,10 @@ namespace rlccd::ops {
 
 // Dense linear algebra.
 Tensor matmul(const Tensor& a, const Tensor& b);           // [m,k]x[k,n]
+// Fused x*w + b ([m,k]x[k,n] + [1,n]): bit-identical to
+// add_rowvec(matmul(x, w), b) in value and in all three gradients, without
+// the [m,n] intermediate.
+Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b);
 Tensor add(const Tensor& a, const Tensor& b);              // elementwise
 Tensor sub(const Tensor& a, const Tensor& b);              // elementwise
 Tensor mul(const Tensor& a, const Tensor& b);              // elementwise

@@ -415,6 +415,9 @@ std::vector<WorkerOutcome> RolloutSupervisor::run(const WorkerJob& job) {
         any_pending = true;
         fds.push_back(pollfd{s.fd, POLLIN, 0});
         fd_worker.push_back(w);
+        // A killed slot only waits for its EOF; its expired deadline must
+        // not turn the poll into a 1 ms spin.
+        if (s.killed) continue;
         if (config_.deadline_sec > 0.0) {
           next_event = std::min(next_event, s.started + config_.deadline_sec);
         }
@@ -443,11 +446,13 @@ std::vector<WorkerOutcome> RolloutSupervisor::run(const WorkerJob& job) {
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) drain(w);
     }
 
-    // Enforcement: hard deadline and heartbeat silence.
+    // Enforcement: hard deadline and heartbeat silence. A slot is killed
+    // once; its EOF can lag the SIGKILL (a grandchild may still hold the
+    // pipe), and it must not be killed and counted again meanwhile.
     now = mono_sec();
     for (int w = 0; w < n; ++w) {
       Slot& s = slots[static_cast<std::size_t>(w)];
-      if (s.state != Slot::State::kRunning) continue;
+      if (s.state != Slot::State::kRunning || s.killed) continue;
       const bool over_deadline =
           config_.deadline_sec > 0.0 &&
           now - s.started > config_.deadline_sec;

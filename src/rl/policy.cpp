@@ -72,9 +72,13 @@ Policy::RolloutResult Policy::rollout(const DesignGraph& graph,
 
   while (!env.done()) {
     // 1. EP-GNN encoding with the current masked flags (Alg. 1 line 6).
-    Tensor x = graph.features_with_mask(env.cell_mask_flags());
-    Tensor f_ep = gnn_.forward(x, graph.adjacency(), graph.cone_matrix(),
-                               graph.endpoint_rows());
+    Tensor f_ep;
+    {
+      RLCCD_SPAN("policy_encode");
+      Tensor x = graph.features_with_mask(env.cell_mask_flags());
+      f_ep = gnn_.forward(x, graph.adjacency(), graph.cone_matrix(),
+                          graph.endpoint_rows());
+    }
 
     // 2. LSTM query from the previous action's embedding (Alg. 1 lines 7-8).
     state = lstm_.forward(prev_embedding, state);
@@ -140,6 +144,7 @@ Policy::RolloutResult Policy::rollout(const DesignGraph& graph,
     if (backward) {
       // Accumulate grad(log pi_t) into the parameter grads now and free
       // this step's graph; the caller scales by the advantage later.
+      RLCCD_SPAN("policy_backward");
       log_p.backward();
     } else if (!stepwise) {
       result.log_prob_sum = ops::add(result.log_prob_sum, log_p);

@@ -64,6 +64,14 @@ TEST_P(GradCheck, Matmul) {
   gradcheck({a, b}, [&] { return ops::sum(ops::matmul(a, b)); });
 }
 
+TEST_P(GradCheck, Linear) {
+  Rng rng(GetParam().seed + 11);
+  Tensor x = random_tensor(GetParam().m, GetParam().k, rng);
+  Tensor w = random_tensor(GetParam().k, GetParam().n, rng);
+  Tensor b = random_tensor(1, GetParam().n, rng);
+  gradcheck({x, w, b}, [&] { return ops::sum(ops::linear(x, w, b)); });
+}
+
 TEST_P(GradCheck, AddSubMulChain) {
   Rng rng(GetParam().seed + 1);
   Tensor a = random_tensor(GetParam().m, GetParam().n, rng);

@@ -16,6 +16,10 @@
 #include <thread>
 #include <vector>
 
+#ifndef _WIN32
+#include <unistd.h>
+#endif
+
 #include "common/fault.h"
 #include "common/telemetry.h"
 #include "rl/audit.h"
@@ -374,6 +378,33 @@ TEST_F(SupervisorTest, DeadlineKillsRunawayAttemptEvenWhileHeartbeating) {
   EXPECT_EQ(outs[0].kills, 1);
   EXPECT_EQ(outs[0].last_failure, WorkerFailure::kTimeout);
   EXPECT_LT(elapsed, 10.0);
+}
+
+TEST_F(SupervisorTest, KilledAttemptIsKilledOnceWhileItsEofIsInFlight) {
+  // The job forks a grandchild that inherits the pipe's write end and holds
+  // it for 1 s, so the EOF after the deadline's SIGKILL arrives ~0.8 s late.
+  // That wait must not kill (and count) the attempt again on every pass.
+  const std::uint64_t kills_before = counter("train.worker_kills");
+  SupervisorConfig cfg;
+  cfg.workers = 1;
+  cfg.deadline_sec = 0.2;
+  cfg.max_restarts = 0;
+  RolloutSupervisor sup(cfg);
+  std::vector<WorkerOutcome> outs = sup.run([](int) -> std::string {
+    if (::fork() == 0) {
+      std::this_thread::sleep_for(std::chrono::seconds(1));
+      ::_exit(0);
+    }
+    std::this_thread::sleep_for(std::chrono::seconds(30));
+    return "too late";
+  });
+
+  ASSERT_EQ(outs.size(), 1u);
+  EXPECT_FALSE(outs[0].completed);
+  EXPECT_EQ(outs[0].attempts, 1);
+  EXPECT_EQ(outs[0].kills, 1);
+  EXPECT_EQ(outs[0].last_failure, WorkerFailure::kTimeout);
+  EXPECT_EQ(counter("train.worker_kills"), kills_before + 1);
 }
 
 // ---------------------------------------------------------------------------
