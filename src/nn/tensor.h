@@ -7,6 +7,11 @@
 // EP-GNN, the LSTM encoder, the attention decoder and REINFORCE need — but
 // exact: every op has an analytic gradient validated against finite
 // differences in tests/nn/gradcheck_test.cpp.
+//
+// Value and grad storage is recycled through a bounded per-thread free list
+// (DESIGN.md §5, "Tensor storage"): a destroyed tensor's buffers serve the
+// next same-size allocation on the destroying thread, and every recycled
+// buffer is filled or copied before use, so results never depend on it.
 #pragma once
 
 #include <functional>
@@ -29,10 +34,17 @@ struct TensorImpl {
   std::vector<std::shared_ptr<TensorImpl>> parents;
   std::function<void()> backward_fn;
 
+  // A node is identified by its address (backward_fn captures it), so it
+  // is never copied.
+  TensorImpl() = default;
+  TensorImpl(const TensorImpl&) = delete;
+  TensorImpl& operator=(const TensorImpl&) = delete;
+  // Hands value and grad storage to this thread's free list.
+  ~TensorImpl();
+
   [[nodiscard]] std::size_t size() const { return rows * cols; }
-  void ensure_grad() {
-    if (grad.size() != value.size()) grad.assign(value.size(), 0.0f);
-  }
+  // Allocates a zero grad the size of value unless one is already there.
+  void ensure_grad();
 };
 
 class Tensor {
@@ -80,9 +92,7 @@ class Tensor {
     impl().ensure_grad();
     return impl().grad;
   }
-  void zero_grad() {
-    if (impl().requires_grad) impl().grad.assign(size(), 0.0f);
-  }
+  void zero_grad();
 
   // Reverse-mode AD from this scalar (1x1). Each reachable requires-grad
   // node's grad is *accumulated* (callers zero parameter grads between

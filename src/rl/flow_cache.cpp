@@ -1,6 +1,8 @@
 #include "rl/flow_cache.h"
 
 #include <algorithm>
+#include <new>
+#include <type_traits>
 
 #include "common/telemetry.h"
 
@@ -47,15 +49,28 @@ FlowOutcomeCache::FlowOutcomeCache(std::size_t capacity_mb) {
   while (pow2 * 2 <= clusters_per_shard) pow2 *= 2;
   clusters_per_shard = pow2;
 
-  for (Shard& s : shards_) {
-    s.entries.assign(clusters_per_shard * kWays, Entry{});
-    s.cluster_mask = clusters_per_shard - 1;
+  // One zero-allocated table sliced into the shards. An all-zero Entry is
+  // an empty way (used == false), so no constructor has to run and no page
+  // is touched here: a page is faulted in on its first write, and pages no
+  // probe or insert reaches never become resident or get copied into a
+  // forked child.
+  static_assert(std::is_trivially_copyable_v<Entry> &&
+                std::is_trivially_destructible_v<Entry>);
+  const std::size_t entries_per_shard = clusters_per_shard * kWays;
+  table_.reset(static_cast<Entry*>(
+      std::calloc(kShards * entries_per_shard, sizeof(Entry))));
+  if (table_ == nullptr) throw std::bad_alloc();
+  for (std::size_t i = 0; i < kShards; ++i) {
+    shards_[i].entries = table_.get() + i * entries_per_shard;
+    shards_[i].cluster_mask = clusters_per_shard - 1;
   }
   capacity_bytes_ = kShards * clusters_per_shard * cluster_bytes;
   CacheCounters::get().bytes.add(capacity_bytes_);
   // Gauge alongside the cumulative counter: the counter sums every cache
   // ever built in this process, the gauge reads the newest level (what a
-  // live stats scrape wants).
+  // live stats scrape wants). Both count the table reserved up front; the
+  // resident part is smaller, since each page is faulted in on its first
+  // write.
   MetricsRegistry::global()
       .gauge("train.cache_resident_bytes")
       .set(static_cast<std::int64_t>(capacity_bytes_));
@@ -147,7 +162,7 @@ FlowOutcomeCache::Stats FlowOutcomeCache::stats() const {
     st.insertions += s.insertions;
     st.evictions += s.evictions;
     st.used_entries += s.used;
-    st.capacity_entries += s.entries.size();
+    st.capacity_entries += (s.cluster_mask + 1) * kWays;
   }
   return st;
 }

@@ -9,7 +9,10 @@
 // Structure (in the style of a chess engine's transposition table):
 //   * fixed memory budget — the entry array is sized once from
 //     `capacity_mb` and never grows; entries are fixed-size (outcomes store
-//     no selection, the key is the selection),
+//     no selection, the key is the selection). The array is reserved up
+//     front but zero-allocated (an all-zero entry is an empty way), so each
+//     page is faulted in on its first write: untouched pages cost no
+//     set-up time, no resident memory and nothing in a forked child,
 //   * sharding + lock striping — the key's high bits pick one of
 //     `kShards` shards, each with its own mutex and entry array, so eight
 //     concurrent trainer workers rarely contend,
@@ -30,8 +33,9 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <mutex>
-#include <vector>
 
 #include "common/hash.h"
 #include "rl/evaluator.h"
@@ -43,8 +47,9 @@ class FlowOutcomeCache {
   static constexpr std::size_t kShards = 16;
   static constexpr std::size_t kWays = 4;
 
-  // Budget in MiB; the table allocates its full capacity up front (rounded
-  // down to whole clusters per shard, at least one cluster each).
+  // Budget in MiB; the table reserves its full capacity up front (rounded
+  // down to whole clusters per shard, at least one cluster each) and each
+  // page is faulted in on its first write.
   explicit FlowOutcomeCache(std::size_t capacity_mb);
 
   // Looks `key` up; on a hit copies the stored outcome into `out` (with
@@ -91,9 +96,13 @@ class FlowOutcomeCache {
     bool used = false;
   };
 
+  struct FreeTable {
+    void operator()(Entry* table) const { std::free(table); }
+  };
+
   struct Shard {
     mutable std::mutex mutex;
-    std::vector<Entry> entries;  // clusters * kWays
+    Entry* entries = nullptr;  // this shard's slice of table_: clusters * kWays
     std::size_t cluster_mask = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -110,6 +119,7 @@ class FlowOutcomeCache {
     return (key.lo & s.cluster_mask) * kWays;
   }
 
+  std::unique_ptr<Entry[], FreeTable> table_;  // calloc'd, all shards
   std::array<Shard, kShards> shards_;
   std::size_t capacity_bytes_ = 0;
   std::uint8_t generation_ = 0;

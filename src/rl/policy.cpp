@@ -80,62 +80,67 @@ Policy::RolloutResult Policy::rollout(const DesignGraph& graph,
                           graph.endpoint_rows());
     }
 
-    // 2. LSTM query from the previous action's embedding (Alg. 1 lines 7-8).
-    state = lstm_.forward(prev_embedding, state);
-    const Tensor& q = state.h;  // [1, hidden]
+    Tensor log_probs;
+    std::size_t action = 0;
+    {
+      RLCCD_SPAN("policy_decode");
+      // 2. LSTM query from the previous action's embedding (Alg. 1 lines
+      // 7-8).
+      state = lstm_.forward(prev_embedding, state);
+      const Tensor& q = state.h;  // [1, hidden]
 
-    // 3. Attention scores over all endpoints (Eq. 5):
-    //    A_i = v^T tanh(W1 f_i + W2 q).
-    Tensor scores = ops::matmul(
-        ops::tanh_op(ops::add_rowvec(ops::matmul(f_ep, attn_w1_),
-                                     ops::matmul(q, attn_w2_))),
-        attn_v_);  // [n, 1]
+      // 3. Attention scores over all endpoints (Eq. 5):
+      //    A_i = v^T tanh(W1 f_i + W2 q).
+      Tensor scores = ops::matmul(
+          ops::tanh_op(ops::add_rowvec(ops::matmul(f_ep, attn_w1_),
+                                       ops::matmul(q, attn_w2_))),
+          attn_v_);  // [n, 1]
 
-    // Numerical-health guard: a NaN/Inf logit would poison the softmax, the
-    // sampled action and (via backward) every parameter gradient. Stop the
-    // trajectory here and let the trainer drop it instead. Teacher-forced
-    // replays skip the injection point: the trigger for this (worker, step)
-    // was already consumed when the trajectory was first decoded.
-    if (forced == nullptr && fault_fire("nan_logits")) {
-      scores.set(0, 0, std::numeric_limits<float>::quiet_NaN());
-    }
-    bool logits_finite = true;
-    for (std::size_t i = 0; i < scores.size(); ++i) {
-      if (!std::isfinite(scores.data()[i])) {
-        logits_finite = false;
-        break;
+      // Numerical-health guard: a NaN/Inf logit would poison the softmax,
+      // the sampled action and (via backward) every parameter gradient.
+      // Stop the trajectory here and let the trainer drop it instead.
+      // Teacher-forced replays skip the injection point: the trigger for
+      // this (worker, step) was already consumed when the trajectory was
+      // first decoded.
+      if (forced == nullptr && fault_fire("nan_logits")) {
+        scores.set(0, 0, std::numeric_limits<float>::quiet_NaN());
       }
-    }
-    if (!logits_finite) {
-      static MetricsCounter& ctr_nonfinite =
-          MetricsRegistry::global().counter("policy.nonfinite_logits");
-      ctr_nonfinite.increment();
-      result.poisoned = true;
-      if (audit != nullptr) audit->poisoned = true;
-      break;
-    }
-
-    // 4. Masked softmax + sampling (Eq. 6, Alg. 1 line 10).
-    Tensor log_probs = ops::masked_log_softmax(scores, env.valid());
-    std::size_t action;
-    if (forced != nullptr) {
-      RLCCD_EXPECTS(static_cast<std::size_t>(result.steps) < forced->size());
-      action = (*forced)[static_cast<std::size_t>(result.steps)];
-    } else if (greedy) {
-      action = 0;
-      float best = -1e30f;
-      for (std::size_t i = 0; i < log_probs.rows(); ++i) {
-        if (env.valid()[i] && log_probs.at(i, 0) > best) {
-          best = log_probs.at(i, 0);
-          action = i;
+      bool logits_finite = true;
+      for (std::size_t i = 0; i < scores.size(); ++i) {
+        if (!std::isfinite(scores.data()[i])) {
+          logits_finite = false;
+          break;
         }
       }
-    } else {
-      std::vector<float> probs(log_probs.rows());
-      for (std::size_t i = 0; i < probs.size(); ++i) {
-        probs[i] = env.valid()[i] ? std::exp(log_probs.at(i, 0)) : 0.0f;
+      if (!logits_finite) {
+        static MetricsCounter& ctr_nonfinite =
+            MetricsRegistry::global().counter("policy.nonfinite_logits");
+        ctr_nonfinite.increment();
+        result.poisoned = true;
+        if (audit != nullptr) audit->poisoned = true;
+        break;
       }
-      action = rng.sample_probabilities(probs);
+
+      // 4. Masked softmax + sampling (Eq. 6, Alg. 1 line 10).
+      log_probs = ops::masked_log_softmax(scores, env.valid());
+      if (forced != nullptr) {
+        RLCCD_EXPECTS(static_cast<std::size_t>(result.steps) < forced->size());
+        action = (*forced)[static_cast<std::size_t>(result.steps)];
+      } else if (greedy) {
+        float best = -1e30f;
+        for (std::size_t i = 0; i < log_probs.rows(); ++i) {
+          if (env.valid()[i] && log_probs.at(i, 0) > best) {
+            best = log_probs.at(i, 0);
+            action = i;
+          }
+        }
+      } else {
+        std::vector<float> probs(log_probs.rows());
+        for (std::size_t i = 0; i < probs.size(); ++i) {
+          probs[i] = env.valid()[i] ? std::exp(log_probs.at(i, 0)) : 0.0f;
+        }
+        action = rng.sample_probabilities(probs);
+      }
     }
     RLCCD_ASSERT(env.valid()[action]);
 

@@ -290,7 +290,10 @@ TrainStats ReinforceTrainer::train() {
     // Clone policies on the main thread (cheap, deterministic).
     std::vector<Policy> clones;
     clones.reserve(static_cast<std::size_t>(config_.workers));
-    for (int w = 0; w < config_.workers; ++w) clones.push_back(policy_->clone());
+    {
+      RLCCD_SPAN("policy_clone");
+      for (int w = 0; w < config_.workers; ++w) clones.push_back(policy_->clone());
+    }
 
     std::vector<WorkerOut> outs(static_cast<std::size_t>(config_.workers));
 
@@ -392,16 +395,21 @@ TrainStats ReinforceTrainer::train() {
               rollout_body(w, pol, out, /*watchdog=*/nullptr);
             }
             RolloutWire wire;
-            wire.outcome = out.outcome;
-            wire.steps = out.steps;
-            wire.poisoned = out.poisoned;
-            wire.selection = std::move(out.selection);
-            if (out.survived()) {
-              for (const Tensor& p : pol.parameters()) {
-                wire.grads.push_back(p.grad());
+            {
+              // Closes before the snapshot below, so it ships with it; the
+              // byte encoding after the snapshot stays outside.
+              RLCCD_SPAN("wire_encode");
+              wire.outcome = out.outcome;
+              wire.steps = out.steps;
+              wire.poisoned = out.poisoned;
+              wire.selection = std::move(out.selection);
+              if (out.survived()) {
+                for (const Tensor& p : pol.parameters()) {
+                  wire.grads.push_back(p.grad());
+                }
               }
+              wire.audit = std::move(out.audit);
             }
-            wire.audit = std::move(out.audit);
             wire.telemetry = scope.snapshot();
             std::string payload;
             encode_rollout_wire(wire, payload);
@@ -411,15 +419,18 @@ TrainStats ReinforceTrainer::train() {
         WorkerOut& out = outs[static_cast<std::size_t>(w)];
         WorkerOutcome& oc = outcomes[static_cast<std::size_t>(w)];
         RolloutWire wire;
-        Status ds =
-            oc.completed
-                ? decode_rollout_wire(oc.payload, wire)
-                : Status::io_error("worker process lost after %d attempts "
-                                   "(last failure: %s)",
-                                   oc.attempts,
-                                   worker_failure_name(oc.last_failure));
-        if (ds.ok() && !wire.poisoned && !wire.outcome.cancelled) {
-          ds = adopt_gradients(wire.grads, clones[static_cast<std::size_t>(w)]);
+        Status ds;
+        {
+          RLCCD_SPAN("wire_decode");
+          ds = oc.completed
+                   ? decode_rollout_wire(oc.payload, wire)
+                   : Status::io_error("worker process lost after %d attempts "
+                                      "(last failure: %s)",
+                                      oc.attempts,
+                                      worker_failure_name(oc.last_failure));
+          if (ds.ok() && !wire.poisoned && !wire.outcome.cancelled) {
+            ds = adopt_gradients(wire.grads, clones[static_cast<std::size_t>(w)]);
+          }
         }
         if (!ds.ok()) {
           out.crashed = true;
@@ -575,21 +586,28 @@ TrainStats ReinforceTrainer::train() {
     // Merge the surviving clones' gradients into the master policy (fixed
     // worker order => deterministic). With no failures this is the plain
     // 1/workers mean.
-    optimizer.zero_grad();
-    std::vector<Tensor> master = policy_->parameters();
-    const float inv_w = 1.0f / static_cast<float>(survivors);
-    for (int w = 0; w < config_.workers; ++w) {
-      if (!outs[static_cast<std::size_t>(w)].survived()) continue;
-      const std::vector<Tensor> src =
-          clones[static_cast<std::size_t>(w)].parameters();
-      for (std::size_t p = 0; p < master.size(); ++p) {
-        std::vector<float>& g = master[p].grad_mut();
-        const std::vector<float>& s = src[p].grad();
-        for (std::size_t i = 0; i < g.size(); ++i) g[i] += s[i] * inv_w;
+    double grad_norm = 0.0;
+    {
+      RLCCD_SPAN("grad_merge");
+      optimizer.zero_grad();
+      std::vector<Tensor> master = policy_->parameters();
+      const float inv_w = 1.0f / static_cast<float>(survivors);
+      for (int w = 0; w < config_.workers; ++w) {
+        if (!outs[static_cast<std::size_t>(w)].survived()) continue;
+        const std::vector<Tensor> src =
+            clones[static_cast<std::size_t>(w)].parameters();
+        for (std::size_t p = 0; p < master.size(); ++p) {
+          std::vector<float>& g = master[p].grad_mut();
+          const std::vector<float>& s = src[p].grad();
+          for (std::size_t i = 0; i < g.size(); ++i) g[i] += s[i] * inv_w;
+        }
       }
+      grad_norm = clip_grad_norm(master, config_.grad_clip);
     }
-    const double grad_norm = clip_grad_norm(master, config_.grad_clip);
-    optimizer.step();
+    {
+      RLCCD_SPAN("optimizer_step");
+      optimizer.step();
+    }
 
     // Iteration bookkeeping over the surviving trajectories.
     IterationStats is;

@@ -6,6 +6,7 @@
 #include "common/io.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -20,7 +21,11 @@ class IoTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FaultInjector::global().reset();
-    path_ = std::string(::testing::TempDir()) + "/io_test_target.bin";
+    // One file per test and process: ctest runs each test as its own
+    // process, possibly in parallel, in the same temporary directory.
+    path_ = std::string(::testing::TempDir()) + "/io_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".bin";
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }

@@ -6,6 +6,11 @@
 // (hi >> 60) and the cluster index is `lo & cluster_mask`, so a salt
 // placed above the mask bits varies the key without moving it.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <vector>
 
 #include "common/hash.h"
 #include "rl/evaluator.h"
@@ -153,6 +158,61 @@ TEST(FlowCacheTest, TinyBudgetStaysBoundedUnderPressure) {
   EXPECT_GT(st.evictions, 0u);
   // Every insert either filled an empty way or displaced a live entry.
   EXPECT_EQ(st.insertions, st.evictions + st.used_entries);
+}
+
+std::size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size_pages = 0;
+  unsigned long resident_pages = 0;
+  const int n = std::fscanf(f, "%lu %lu", &size_pages, &resident_pages);
+  std::fclose(f);
+  return n == 2 ? resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE))
+                : 0;
+}
+
+TEST(FlowCacheTest, TableIsNotResidentUntilWritten) {
+  // The table is reserved up front but zero-allocated, so building the
+  // trainer's 64 MiB cache must not fault its pages in.
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  FlowOutcomeCache cache(64);
+  const std::size_t after = resident_bytes();
+  EXPECT_GT(cache.capacity_bytes(), std::size_t{32} << 20);
+  EXPECT_LT(after - std::min(after, before), std::size_t{1} << 20);
+}
+
+TEST(FlowCacheTest, FreshTableMissesThenHitsInEveryShard) {
+  // Fill every way of every cluster of every shard, one key at a time: each
+  // key misses on the fresh table and hits after its insert, and no insert
+  // displaces another key (the shards' slices partition the table).
+  FlowOutcomeCache cache(1);
+  const std::size_t capacity = cache.stats().capacity_entries;
+  const std::size_t clusters =
+      capacity / (FlowOutcomeCache::kShards * FlowOutcomeCache::kWays);
+  ASSERT_GT(clusters, 1u);
+  std::vector<Hash128> keys;
+  for (std::uint64_t shard = 0; shard < FlowOutcomeCache::kShards; ++shard) {
+    for (std::uint64_t cluster = 0; cluster < clusters; ++cluster) {
+      for (std::uint64_t way = 0; way < FlowOutcomeCache::kWays; ++way) {
+        const Hash128 key = make_key(shard, cluster, way + 1);
+        EvalOutcome out;
+        ASSERT_FALSE(cache.probe(key, out)) << shard << "/" << cluster;
+        cache.insert(key, make_outcome(-1.0 * static_cast<double>(keys.size()), 0.5));
+        ASSERT_TRUE(cache.probe(key, out)) << shard << "/" << cluster;
+        keys.push_back(key);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EvalOutcome out;
+    ASSERT_TRUE(cache.probe(keys[i], out)) << i;
+    EXPECT_EQ(out.summary.tns, -1.0 * static_cast<double>(i));
+  }
+  const FlowOutcomeCache::Stats st = cache.stats();
+  EXPECT_EQ(st.insertions, capacity);
+  EXPECT_EQ(st.used_entries, capacity);
+  EXPECT_EQ(st.evictions, 0u);
 }
 
 }  // namespace
