@@ -29,6 +29,8 @@ inline constexpr std::string_view kCounterNames[] = {
     "opt.sizing.upsized",
     "opt.useful_skew.flops_adjusted",
     "opt.useful_skew.sweeps",
+    "policy.encode_rows",
+    "policy.encode_rows_full",
     "policy.nonfinite_logits",
     "serve.accept_failures",
     "serve.clients_accepted",

@@ -7,8 +7,15 @@
 // reparameterization), followed by the Eq. 3 endpoint head
 //   f_e = FC( f_e^{L} + sum_{j in cone(e)} f_j^{L} ).
 // Hidden dimension 32, endpoint embeddings 16, as in the paper.
+//
+// The paper re-runs EP-GNN at every selection step. Between two steps only
+// Table I column 0 changes, on the cells of the endpoints the step selected
+// or masked, so EpGnn::Encoder recomputes only the rows that change can
+// reach (DESIGN.md Sec. 5, "Incremental re-encode"); forward() is a fresh
+// encoder's first step.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,6 +42,67 @@ class EpGnn {
   [[nodiscard]] Tensor forward(const Tensor& x, const SparseOperand& adj,
                                const SparseOperand& cones,
                                const std::vector<std::size_t>& ep_rows) const;
+
+  // EP-GNN across the steps of one rollout. encode() finds the feature rows
+  // that differ from the previous call's, grows them one adjacency hop per
+  // layer (Eq. 2) and then through the cone matrix and the endpoint rows
+  // (Eq. 3), and recomputes only the rows they reach; the first call
+  // computes every row. The new step's nodes take over the previous step's
+  // value storage, so that step's graph must be spent when encode() is
+  // called again: its backward run (or never to run) and its values never
+  // read again. A caller that keeps every step's graph alive uses a fresh
+  // Encoder per step. Nodes, parents and backward are the full forward's,
+  // so values and gradients are bit-identical to it.
+  //
+  // Clean rows keep values computed at earlier steps, so the parameters
+  // must not change while an encoder lives: it is meant for one rollout.
+  class Encoder {
+   public:
+    // `gnn` and the operands must outlive the encoder; `adj` and `cones`
+    // also the backward of its results, as for forward().
+    Encoder(const EpGnn& gnn, const SparseOperand& adj,
+            const SparseOperand& cones,
+            const std::vector<std::size_t>& ep_rows);
+
+    // As EpGnn::forward.
+    [[nodiscard]] Tensor encode(const Tensor& x);
+
+    // Rows the last encode() computed, over the layer outputs and the
+    // endpoint head, and the rows a full forward computes.
+    [[nodiscard]] std::size_t rows_computed() const { return rows_computed_; }
+    [[nodiscard]] std::size_t rows_full() const;
+
+   private:
+    // Row indices in ascending order with a membership flag per row.
+    struct RowSet {
+      std::vector<char> member;
+      std::vector<std::uint32_t> rows;
+      void clear();
+      void insert(std::uint32_t r);
+      void sort();
+    };
+    // One layer's op outputs: the previous step's until encode() replaces
+    // them.
+    struct Layer {
+      Tensor proj, self, neigh, agg, agg_scaled, pre, h;
+    };
+
+    [[nodiscard]] ops::OutRows rows_of(Tensor& prior,
+                                       const RowSet& dirty) const;
+    void find_changed_rows(const Tensor& x);
+    void grow(const SparseMatrix& reach_t, const RowSet& from,
+              RowSet& to) const;
+
+    const EpGnn* gnn_;
+    const SparseOperand* adj_;
+    const SparseOperand* cones_;
+    const std::vector<std::size_t>* ep_rows_;
+    std::vector<float> x_;  // the previous call's features
+    std::vector<Layer> layers_;
+    Tensor cone_sum_, head_in_, out_;
+    RowSet in_, neigh_, out_rows_, head_rows_;
+    std::size_t rows_computed_ = 0;
+  };
 
   [[nodiscard]] std::vector<Tensor> parameters() const;
   [[nodiscard]] const EpGnnConfig& config() const { return config_; }

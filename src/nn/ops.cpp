@@ -12,6 +12,30 @@ namespace {
 // True when `t` exists and accumulates a gradient (requires_grad).
 inline bool wants_grad(TensorImpl* t) { return t != nullptr && t->requires_grad; }
 
+// The output node of an op computing `rows` (ops.h OutRows): make_result's,
+// over the prior's value storage when there is one.
+Tensor make_output(std::size_t m, std::size_t n,
+                   std::vector<std::shared_ptr<TensorImpl>> parents,
+                   const OutRows& rows) {
+  if (rows.prior == nullptr) return make_result(m, n, std::move(parents));
+  RLCCD_EXPECTS(rows.dirty != nullptr);
+  TensorImpl& prior = rows.prior->impl();
+  RLCCD_EXPECTS(prior.rows == m && prior.cols == n);
+  for (std::uint32_t r : *rows.dirty) RLCCD_EXPECTS(r < m);
+  return make_result(m, n, std::move(parents), std::move(prior.value));
+}
+
+// Calls f(r) for each output row `rows` computes: every row of [0, m)
+// without a prior, else the dirty rows.
+template <class F>
+void for_each_out_row(const OutRows& rows, std::size_t m, F&& f) {
+  if (rows.prior == nullptr) {
+    for (std::size_t r = 0; r < m; ++r) f(r);
+  } else {
+    for (std::uint32_t r : *rows.dirty) f(r);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Dense kernels (DESIGN.md Sec. 5, "Dense kernels").
 //
@@ -172,7 +196,8 @@ void gemm_grad_b(const float* a, const float* dout, float* db, std::size_t m,
 }
 
 // a * b, plus `bias` broadcast over rows when given (ops::linear).
-Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor* bias) {
+Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor* bias,
+                   const OutRows& rows) {
   RLCCD_EXPECTS(a.cols() == b.rows());
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   std::vector<std::shared_ptr<TensorImpl>> parents{a.ptr(), b.ptr()};
@@ -180,14 +205,32 @@ Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor* bias) {
     RLCCD_EXPECTS(bias->rows() == 1 && bias->cols() == n);
     parents.push_back(bias->ptr());
   }
-  Tensor out = make_result(m, n, std::move(parents));
+  Tensor out = make_output(m, n, std::move(parents), rows);
   TensorImpl* ai = a.ptr().get();
   TensorImpl* bi = b.ptr().get();
   TensorImpl* ri = bias != nullptr ? bias->ptr().get() : nullptr;
   TensorImpl* oi = out.ptr().get();
-  gemm_forward(ai->value.data(), bi->value.data(),
-               ri != nullptr ? ri->value.data() : nullptr, oi->value.data(),
-               m, k, n);
+  const float* bias_v = ri != nullptr ? ri->value.data() : nullptr;
+  if (rows.prior == nullptr) {
+    gemm_forward(ai->value.data(), bi->value.data(), bias_v, oi->value.data(),
+                 m, k, n);
+  } else {
+    // An output row reads only its own row of a, and the kernel computes it
+    // the same way in any row position, so the dirty rows are packed,
+    // multiplied as one shorter product and scattered back.
+    const std::vector<std::uint32_t>& dirty = *rows.dirty;
+    std::vector<float> packed_a(dirty.size() * k);
+    std::vector<float> packed_out(dirty.size() * n);
+    for (std::size_t i = 0; i < dirty.size(); ++i) {
+      std::copy_n(ai->value.data() + dirty[i] * k, k, packed_a.data() + i * k);
+    }
+    gemm_forward(packed_a.data(), bi->value.data(), bias_v, packed_out.data(),
+                 dirty.size(), k, n);
+    for (std::size_t i = 0; i < dirty.size(); ++i) {
+      std::copy_n(packed_out.data() + i * n, n,
+                  oi->value.data() + dirty[i] * n);
+    }
+  }
   if (oi->requires_grad) {
     oi->backward_fn = [ai, bi, ri, oi, m, k, n]() {
       if (wants_grad(ai)) {
@@ -216,22 +259,26 @@ Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor* bias) {
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
-  return matmul_bias(a, b, nullptr);
+  return matmul_bias(a, b, nullptr, {});
 }
 
-Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b) {
-  return matmul_bias(x, w, &b);
+Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b,
+              const OutRows& rows) {
+  return matmul_bias(x, w, &b, rows);
 }
 
-Tensor add(const Tensor& a, const Tensor& b) {
+Tensor add(const Tensor& a, const Tensor& b, const OutRows& rows) {
   RLCCD_EXPECTS(a.rows() == b.rows() && a.cols() == b.cols());
-  Tensor out = make_result(a.rows(), a.cols(), {a.ptr(), b.ptr()});
+  Tensor out = make_output(a.rows(), a.cols(), {a.ptr(), b.ptr()}, rows);
   TensorImpl* ai = a.ptr().get();
   TensorImpl* bi = b.ptr().get();
   TensorImpl* oi = out.ptr().get();
-  for (std::size_t i = 0; i < oi->size(); ++i) {
-    oi->value[i] = ai->value[i] + bi->value[i];
-  }
+  const std::size_t n = a.cols();
+  for_each_out_row(rows, a.rows(), [&](std::size_t r) {
+    for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
+      oi->value[i] = ai->value[i] + bi->value[i];
+    }
+  });
   if (oi->requires_grad) {
     oi->backward_fn = [ai, bi, oi]() {
       if (wants_grad(ai)) {
@@ -350,16 +397,20 @@ Tensor affine(const Tensor& a, float alpha, float beta) {
   return out;
 }
 
-Tensor scale_by_scalar(const Tensor& a, const Tensor& s) {
+Tensor scale_by_scalar(const Tensor& a, const Tensor& s,
+                       const OutRows& rows) {
   RLCCD_EXPECTS(s.size() == 1);
-  Tensor out = make_result(a.rows(), a.cols(), {a.ptr(), s.ptr()});
+  Tensor out = make_output(a.rows(), a.cols(), {a.ptr(), s.ptr()}, rows);
   TensorImpl* ai = a.ptr().get();
   TensorImpl* si = s.ptr().get();
   TensorImpl* oi = out.ptr().get();
   const float sv = si->value[0];
-  for (std::size_t i = 0; i < oi->size(); ++i) {
-    oi->value[i] = sv * ai->value[i];
-  }
+  const std::size_t n = a.cols();
+  for_each_out_row(rows, a.rows(), [&](std::size_t r) {
+    for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
+      oi->value[i] = sv * ai->value[i];
+    }
+  });
   if (oi->requires_grad) {
     oi->backward_fn = [ai, si, oi]() {
       const float sv = si->value[0];
@@ -385,13 +436,16 @@ Tensor scale_by_scalar(const Tensor& a, const Tensor& s) {
 namespace {
 
 template <class Fwd, class Dfn>
-Tensor unary_op(const Tensor& a, Fwd fwd, Dfn dfn) {
-  Tensor out = make_result(a.rows(), a.cols(), {a.ptr()});
+Tensor unary_op(const Tensor& a, Fwd fwd, Dfn dfn, const OutRows& rows = {}) {
+  Tensor out = make_output(a.rows(), a.cols(), {a.ptr()}, rows);
   TensorImpl* ai = a.ptr().get();
   TensorImpl* oi = out.ptr().get();
-  for (std::size_t i = 0; i < oi->size(); ++i) {
-    oi->value[i] = fwd(ai->value[i]);
-  }
+  const std::size_t n = a.cols();
+  for_each_out_row(rows, a.rows(), [&](std::size_t r) {
+    for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
+      oi->value[i] = fwd(ai->value[i]);
+    }
+  });
   if (oi->requires_grad) {
     oi->backward_fn = [ai, oi, dfn]() {
       if (!wants_grad(ai)) return;
@@ -407,10 +461,10 @@ Tensor unary_op(const Tensor& a, Fwd fwd, Dfn dfn) {
 
 }  // namespace
 
-Tensor sigmoid(const Tensor& a) {
+Tensor sigmoid(const Tensor& a, const OutRows& rows) {
   return unary_op(
       a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float, float y) { return y * (1.0f - y); });
+      [](float, float y) { return y * (1.0f - y); }, rows);
 }
 
 Tensor tanh_op(const Tensor& a) {
@@ -566,21 +620,24 @@ Tensor masked_log_softmax(const Tensor& scores,
   return out;
 }
 
-Tensor spmm(const SparseOperand& sp, const Tensor& x) {
+Tensor spmm(const SparseOperand& sp, const Tensor& x, const OutRows& rows) {
   RLCCD_EXPECTS(sp.matrix.cols == x.rows());
   const std::size_t n = x.cols();
-  Tensor out = make_result(sp.matrix.rows, n, {x.ptr()});
+  Tensor out = make_output(sp.matrix.rows, n, {x.ptr()}, rows);
   TensorImpl* xi = x.ptr().get();
   TensorImpl* oi = out.ptr().get();
   const SparseMatrix& a = sp.matrix;
-  for (std::size_t r = 0; r < a.rows; ++r) {
+  for_each_out_row(rows, a.rows, [&](std::size_t r) {
+    // Sums start from 0, as in a fresh buffer; a taken-over row holds the
+    // prior's value.
     float* orow = oi->value.data() + r * n;
+    std::fill_n(orow, n, 0.0f);
     for (std::uint32_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
       const float v = a.values[k];
       const float* xrow = xi->value.data() + a.col_idx[k] * n;
       for (std::size_t j = 0; j < n; ++j) orow[j] += v * xrow[j];
     }
-  }
+  });
   if (oi->requires_grad) {
     const SparseMatrix* at = &sp.matrix_t;
     oi->backward_fn = [xi, oi, at, n]() {

@@ -10,22 +10,40 @@
 
 namespace rlccd::ops {
 
+// Which output rows an op computes. linear, add, scale_by_scalar, sigmoid
+// and spmm take one; the default computes every row into fresh storage.
+// With `prior` set, the output takes over prior's value storage instead and
+// recomputes only the rows in `dirty`; the other rows keep prior's values.
+// `prior` is the same op's output one step earlier, of the same shape, and
+// its graph must be spent: no backward will run through it and nothing
+// will read its values again. The node, its parents and its backward are
+// the full op's either way; each row is computed as the full op computes
+// it, so a row whose inputs did not change keeps the full op's value bit
+// for bit (the EP-GNN incremental re-encode, DESIGN.md Sec. 5).
+struct OutRows {
+  Tensor* prior = nullptr;
+  const std::vector<std::uint32_t>* dirty = nullptr;  // with prior
+};
+
 // Dense linear algebra.
 Tensor matmul(const Tensor& a, const Tensor& b);           // [m,k]x[k,n]
 // Fused x*w + b ([m,k]x[k,n] + [1,n]): bit-identical to
 // add_rowvec(matmul(x, w), b) in value and in all three gradients, without
 // the [m,n] intermediate.
-Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b);
-Tensor add(const Tensor& a, const Tensor& b);              // elementwise
+Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b,
+              const OutRows& rows = {});
+Tensor add(const Tensor& a, const Tensor& b,
+           const OutRows& rows = {});                      // elementwise
 Tensor sub(const Tensor& a, const Tensor& b);              // elementwise
 Tensor mul(const Tensor& a, const Tensor& b);              // elementwise
 Tensor add_rowvec(const Tensor& a, const Tensor& row);     // [m,n] + [1,n]
 Tensor affine(const Tensor& a, float alpha, float beta);   // alpha*a + beta
 // Broadcast-scale by a 1x1 tensor: out = a * s (gradient flows into both).
-Tensor scale_by_scalar(const Tensor& a, const Tensor& s);
+Tensor scale_by_scalar(const Tensor& a, const Tensor& s,
+                       const OutRows& rows = {});
 
 // Nonlinearities.
-Tensor sigmoid(const Tensor& a);
+Tensor sigmoid(const Tensor& a, const OutRows& rows = {});
 Tensor tanh_op(const Tensor& a);
 Tensor relu(const Tensor& a);
 
@@ -45,6 +63,7 @@ Tensor masked_log_softmax(const Tensor& scores,
 
 // Sparse x dense: out = sp.matrix * x; backward uses sp.matrix_t. The
 // sparse values are constants (graph structure), only x carries gradient.
-Tensor spmm(const SparseOperand& sp, const Tensor& x);
+Tensor spmm(const SparseOperand& sp, const Tensor& x,
+            const OutRows& rows = {});
 
 }  // namespace rlccd::ops

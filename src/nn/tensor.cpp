@@ -133,10 +133,17 @@ Tensor Tensor::detach_copy() const {
 
 Tensor make_result(std::size_t rows, std::size_t cols,
                    std::vector<std::shared_ptr<TensorImpl>> parents) {
+  return make_result(rows, cols, std::move(parents), filled(rows * cols, 0.0f));
+}
+
+Tensor make_result(std::size_t rows, std::size_t cols,
+                   std::vector<std::shared_ptr<TensorImpl>> parents,
+                   std::vector<float> value) {
+  RLCCD_EXPECTS(value.size() == rows * cols);
   auto impl = std::make_shared<TensorImpl>();
   impl->rows = rows;
   impl->cols = cols;
-  impl->value = filled(rows * cols, 0.0f);
+  impl->value = std::move(value);
   for (const auto& p : parents) {
     if (p && p->requires_grad) {
       impl->requires_grad = true;

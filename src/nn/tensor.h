@@ -126,5 +126,10 @@ class Tensor {
 // Creates a result node whose requires_grad is the OR of the parents'.
 Tensor make_result(std::size_t rows, std::size_t cols,
                    std::vector<std::shared_ptr<TensorImpl>> parents);
+// The same node over existing storage of rows * cols floats instead of a
+// fresh zero-filled buffer (ops::OutRows takes over a spent node's values).
+Tensor make_result(std::size_t rows, std::size_t cols,
+                   std::vector<std::shared_ptr<TensorImpl>> parents,
+                   std::vector<float> value);
 
 }  // namespace rlccd

@@ -124,24 +124,42 @@ void walk_flow_spans(const SpanNode& node, double& total_sec,
   for (const SpanNode& c : node.children) walk_flow_spans(c, total_sec, runs);
 }
 
-// Flattened span paths sorted by total wall-clock, for the hot-path table.
-struct FlatSpan {
-  std::string path;
-  std::uint64_t count = 0;
-  double total_sec = 0.0;
-  double exclusive_sec = 0.0;
-};
-
+// Every span path under `node`, depth first; `root_sec` is the total of the
+// path's top-level span.
 void flatten_spans(const SpanNode& node, const std::string& prefix,
-                   std::vector<FlatSpan>& out) {
+                   double root_sec, std::vector<SpanProfileRow>& out) {
   for (const SpanNode& c : node.children) {
     std::string path = prefix.empty() ? c.name : prefix + "/" + c.name;
-    out.push_back({path, c.count, c.total_sec, c.exclusive_sec()});
-    flatten_spans(c, path, out);
+    const double root = prefix.empty() ? c.total_sec : root_sec;
+    out.push_back({path, c.count, c.total_sec, c.exclusive_sec(),
+                   root > 0.0 ? 100.0 * c.exclusive_sec() / root : 0.0});
+    flatten_spans(c, path, root, out);
   }
 }
 
 }  // namespace
+
+std::vector<SpanProfileRow> span_profile(const SpanNode& spans) {
+  std::vector<SpanProfileRow> rows;
+  flatten_spans(spans, "", 0.0, rows);
+  std::stable_sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return a.self_sec > b.self_sec;
+  });
+  return rows;
+}
+
+std::string render_profile(const RunReport& report) {
+  std::string out;
+  append_line(out, "== self-time profile (by self wall-clock) ==");
+  append_line(out, "%-48s %8s %12s %12s %10s", "span path", "count", "total_s",
+              "self_s", "self_%root");
+  for (const SpanProfileRow& row : span_profile(report.spans)) {
+    append_line(out, "%-48s %8llu %12.3f %12.3f %10.1f", row.path.c_str(),
+                static_cast<unsigned long long>(row.count), row.total_sec,
+                row.self_sec, row.self_pct_of_root);
+  }
+  return out;
+}
 
 std::uint64_t RunReport::counter(std::string_view name) const {
   for (const auto& [n, v] : counters) {
@@ -405,8 +423,7 @@ Status load_run(const std::string& path, RunReport& out) {
 std::string render_text_report(const RunReport& report) {
   std::string out;
   if (report.has_metrics) {
-    std::vector<FlatSpan> flat;
-    flatten_spans(report.spans, "", flat);
+    std::vector<SpanProfileRow> flat = span_profile(report.spans);
     std::sort(flat.begin(), flat.end(), [](const auto& a, const auto& b) {
       return a.total_sec > b.total_sec;
     });
@@ -417,7 +434,7 @@ std::string render_text_report(const RunReport& report) {
     for (std::size_t i = 0; i < n; ++i) {
       append_line(out, "%-40s %8llu %12.3f %12.3f", flat[i].path.c_str(),
                   static_cast<unsigned long long>(flat[i].count),
-                  flat[i].total_sec, flat[i].exclusive_sec);
+                  flat[i].total_sec, flat[i].self_sec);
     }
     const std::uint64_t runs = report.flow_runs();
     if (runs > 0) {

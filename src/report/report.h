@@ -118,6 +118,24 @@ Status load_run(const std::string& path, RunReport& out);
 // selection-entropy trend, per-endpoint pick frequency, flow outcomes.
 std::string render_text_report(const RunReport& report);
 
+// One span path of a flat self-time profile. Self time is the span's own
+// wall-clock outside its recorded children; the root is the path's
+// top-level span (worker threads and forked children record "rollout" as
+// a root of its own).
+struct SpanProfileRow {
+  std::string path;  // '/'-separated from the top-level span
+  std::uint64_t count = 0;
+  double total_sec = 0.0;
+  double self_sec = 0.0;
+  double self_pct_of_root = 0.0;  // self_sec / the root's total_sec, in %
+};
+
+// Every span path of `spans` (a synthetic root, as RunReport::spans), by
+// self time descending; ties keep depth-first tree order.
+std::vector<SpanProfileRow> span_profile(const SpanNode& spans);
+// span_profile() of the run as a text table (rlccd_report --profile).
+std::string render_profile(const RunReport& report);
+
 // -- diffing ------------------------------------------------------------------
 
 struct DiffThresholds {

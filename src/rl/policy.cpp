@@ -70,14 +70,30 @@ Policy::RolloutResult Policy::rollout(const DesignGraph& graph,
   LSTMCell::State state = lstm_.zero_state();
   Tensor prev_embedding = Tensor::zeros(1, config_.gnn.embedding);
 
+  // EP-GNN rows computed (layer outputs and endpoint head, summed over
+  // steps) against the rows full re-encodes would compute.
+  static MetricsCounter& ctr_encode_rows =
+      MetricsRegistry::global().counter("policy.encode_rows");
+  static MetricsCounter& ctr_encode_rows_full =
+      MetricsRegistry::global().counter("policy.encode_rows_full");
+  auto fresh_encoder = [&] {
+    return EpGnn::Encoder(gnn_, graph.adjacency(), graph.cone_matrix(),
+                          graph.endpoint_rows());
+  };
+  EpGnn::Encoder encoder = fresh_encoder();
+
   while (!env.done()) {
-    // 1. EP-GNN encoding with the current masked flags (Alg. 1 line 6).
+    // 1. EP-GNN encoding with the current masked flags (Alg. 1 line 6),
+    // recomputing only the rows the last step's mask change reaches. Each
+    // step's graph is spent by the next step in the stepwise modes;
+    // FullGraph keeps them all alive, so it encodes every step afresh.
     Tensor f_ep;
     {
       RLCCD_SPAN("policy_encode");
-      Tensor x = graph.features_with_mask(env.cell_mask_flags());
-      f_ep = gnn_.forward(x, graph.adjacency(), graph.cone_matrix(),
-                          graph.endpoint_rows());
+      if (!stepwise) encoder = fresh_encoder();
+      f_ep = encoder.encode(graph.features_with_mask(env.cell_mask_flags()));
+      ctr_encode_rows.add(encoder.rows_computed());
+      ctr_encode_rows_full.add(encoder.rows_full());
     }
 
     Tensor log_probs;

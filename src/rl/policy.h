@@ -2,7 +2,9 @@
 // past-action encoder (Eq. 4) and pointer-style attention decoder
 // (Eqs. 5-6). One rollout = one full endpoint-selection trajectory with the
 // EP-GNN re-run every step (the RL-masked feature changes after each
-// overlap-masking action, paper Sec. III-B.1).
+// overlap-masking action, paper Sec. III-B.1). The re-run is incremental:
+// each step recomputes only the rows the last step's mask change reaches,
+// bit-identical to a full forward (EpGnn::Encoder).
 #pragma once
 
 #include <vector>
@@ -38,7 +40,8 @@ class Policy {
 
   enum class RolloutMode {
     // Keep the entire trajectory graph alive; caller backwards through
-    // log_prob_sum (exact BPTT; memory O(T x graph), used in tests).
+    // log_prob_sum (exact BPTT; memory O(T x graph), used in tests). Every
+    // step's encode is a full one, since no earlier step's graph is spent.
     FullGraph,
     // Backward each step's log-probability immediately, accumulating
     // sum_t grad(log pi_t) into the parameter grads, and detach the

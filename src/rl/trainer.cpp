@@ -377,44 +377,50 @@ TrainStats ReinforceTrainer::train() {
       scfg.backoff_seed =
           config_.seed ^ (static_cast<std::uint64_t>(iter) * 0x9E37ull);
       RolloutSupervisor supervisor(scfg);
-      std::vector<WorkerOutcome> outcomes =
-          supervisor.run([&](int w) -> std::string {
-            // Child process: everything here touches the forked child's
-            // copy-on-write view of the trainer; the only output is the
-            // returned wire payload. The scope captures the counters and
-            // spans the rollout records (they die with the child otherwise)
-            // so the parent can re-apply them.
-            TelemetryScope scope;
-            WorkerOut out;
-            Policy& pol = clones[static_cast<std::size_t>(w)];
-            {
-              RLCCD_SPAN("rollout");
-              // Deterministic stall fault: parks the worker past its
-              // deadline (here: until the supervisor kills it).
-              fault_stall_point("rollout_stall");
-              rollout_body(w, pol, out, /*watchdog=*/nullptr);
+      auto child = [&](int w) -> std::string {
+        // Child process: everything here touches the forked child's
+        // copy-on-write view of the trainer; the only output is the
+        // returned wire payload. The scope captures the counters and
+        // spans the rollout records (they die with the child otherwise)
+        // so the parent can re-apply them.
+        TelemetryScope scope;
+        WorkerOut out;
+        Policy& pol = clones[static_cast<std::size_t>(w)];
+        {
+          RLCCD_SPAN("rollout");
+          // Deterministic stall fault: parks the worker past its
+          // deadline (here: until the supervisor kills it).
+          fault_stall_point("rollout_stall");
+          rollout_body(w, pol, out, /*watchdog=*/nullptr);
+        }
+        RolloutWire wire;
+        {
+          // Closes before the snapshot below, so it ships with it; the
+          // byte encoding after the snapshot stays outside.
+          RLCCD_SPAN("wire_encode");
+          wire.outcome = out.outcome;
+          wire.steps = out.steps;
+          wire.poisoned = out.poisoned;
+          wire.selection = std::move(out.selection);
+          if (out.survived()) {
+            for (const Tensor& p : pol.parameters()) {
+              wire.grads.push_back(p.grad());
             }
-            RolloutWire wire;
-            {
-              // Closes before the snapshot below, so it ships with it; the
-              // byte encoding after the snapshot stays outside.
-              RLCCD_SPAN("wire_encode");
-              wire.outcome = out.outcome;
-              wire.steps = out.steps;
-              wire.poisoned = out.poisoned;
-              wire.selection = std::move(out.selection);
-              if (out.survived()) {
-                for (const Tensor& p : pol.parameters()) {
-                  wire.grads.push_back(p.grad());
-                }
-              }
-              wire.audit = std::move(out.audit);
-            }
-            wire.telemetry = scope.snapshot();
-            std::string payload;
-            encode_rollout_wire(wire, payload);
-            return payload;
-          });
+          }
+          wire.audit = std::move(out.audit);
+        }
+        wire.telemetry = scope.snapshot();
+        std::string payload;
+        encode_rollout_wire(wire, payload);
+        return payload;
+      };
+      std::vector<WorkerOutcome> outcomes;
+      {
+        // The parent's wait for its children. Their spans come back in the
+        // wire, as "rollout" roots like the worker threads'.
+        RLCCD_SPAN("rollout_wait");
+        outcomes = supervisor.run(child);
+      }
       for (int w = 0; w < config_.workers; ++w) {
         WorkerOut& out = outs[static_cast<std::size_t>(w)];
         WorkerOutcome& oc = outcomes[static_cast<std::size_t>(w)];
@@ -471,6 +477,9 @@ TrainStats ReinforceTrainer::train() {
             n_crashed, config_.workers);
       }
     } else {
+      // Each worker thread's spans are their own "rollout" root; this is the
+      // main thread's wait for them.
+      RLCCD_SPAN("rollout_wait");
       std::vector<std::thread> threads;
       for (int w = 0; w < config_.workers; ++w) {
         threads.emplace_back([&, w]() {

@@ -254,6 +254,62 @@ TEST(ReportText, RendersEverySection) {
   EXPECT_NE(text.find("rollouts: 1"), std::string::npos);
 }
 
+// -- self-time profile --------------------------------------------------------
+
+TEST(ReportProfile, RowsSortBySelfTimeWithTheirRootsShare) {
+  RunReport report;
+  ASSERT_TRUE(parse_metrics_json(
+                  R"({"counters":{},"spans":[)"
+                  R"({"name":"train","count":1,"total_sec":10.0,"children":[)"
+                  R"({"name":"iteration","count":4,"total_sec":8.0,)"
+                  R"("children":[{"name":"rollout_wait","count":4,)"
+                  R"("total_sec":7.5,"children":[]}]}]},)"
+                  R"({"name":"rollout","count":8,"total_sec":20.0,"children":[)"
+                  R"({"name":"policy_encode","count":80,"total_sec":6.0,)"
+                  R"("children":[]},)"
+                  R"({"name":"policy_backward","count":80,"total_sec":12.0,)"
+                  R"("children":[]}]}]})",
+                  report)
+                  .ok());
+  const std::vector<SpanProfileRow> rows = span_profile(report.spans);
+  struct Want {
+    const char* path;
+    std::uint64_t count;
+    double total, self, pct;
+  };
+  // train and rollout tie at 2 s of self time and keep tree order.
+  const Want want[] = {
+      {"rollout/policy_backward", 80, 12.0, 12.0, 60.0},
+      {"train/iteration/rollout_wait", 4, 7.5, 7.5, 75.0},
+      {"rollout/policy_encode", 80, 6.0, 6.0, 30.0},
+      {"train", 1, 10.0, 2.0, 20.0},
+      {"rollout", 8, 20.0, 2.0, 10.0},
+      {"train/iteration", 4, 8.0, 0.5, 5.0},
+  };
+  ASSERT_EQ(rows.size(), std::size(want));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE(want[i].path);
+    EXPECT_EQ(rows[i].path, want[i].path);
+    EXPECT_EQ(rows[i].count, want[i].count);
+    EXPECT_DOUBLE_EQ(rows[i].total_sec, want[i].total);
+    EXPECT_DOUBLE_EQ(rows[i].self_sec, want[i].self);
+    EXPECT_DOUBLE_EQ(rows[i].self_pct_of_root, want[i].pct);
+  }
+
+  const std::string text = render_profile(report);
+  EXPECT_NE(text.find("self-time profile"), std::string::npos) << text;
+  EXPECT_LT(text.find("rollout/policy_backward"),
+            text.find("rollout/policy_encode"))
+      << text;
+}
+
+TEST(ReportProfile, EmptyTreeHasNoRows) {
+  RunReport report;
+  ASSERT_TRUE(
+      parse_metrics_json(R"({"counters":{},"spans":[]})", report).ok());
+  EXPECT_TRUE(span_profile(report.spans).empty());
+}
+
 // -- diffing ------------------------------------------------------------------
 
 RunReport run_with(double flow_sec, std::uint64_t flow_count, double tns) {

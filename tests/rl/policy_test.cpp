@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 namespace rlccd {
 namespace {
 
@@ -111,6 +113,44 @@ TEST(Policy, StepwiseBackwardMatchesFullGraphForOneStepEpisode) {
     for (std::size_t i = 0; i < pa[p].size(); ++i) {
       ASSERT_NEAR(pa[p].grad()[i], pb[p].grad()[i], 1e-5);
     }
+  }
+}
+
+TEST(Policy, ModesAgreeStepForStepOnAMultiStepEpisode) {
+  // FullGraph re-encodes every step from scratch; the two stepwise modes
+  // re-encode only the rows each mask change reaches. The forward values,
+  // and so the sampled actions and every step's log-probability, must not
+  // depend on the mode.
+  Fixture f;
+  const Policy policy(PolicyConfig{}, 12);
+  const Policy::RolloutMode modes[] = {Policy::RolloutMode::FullGraph,
+                                       Policy::RolloutMode::StepwiseBackward,
+                                       Policy::RolloutMode::Inference};
+  std::vector<Policy::RolloutResult> results;
+  std::vector<SelectionAudit> audits(std::size(modes));
+  for (std::size_t m = 0; m < std::size(modes); ++m) {
+    Policy clone = policy.clone();
+    SelectionEnv env(&f.graph, 0.3);
+    Rng rng(23);
+    results.push_back(clone.rollout(f.graph, env, rng, /*greedy=*/false,
+                                    modes[m], &audits[m]));
+  }
+  ASSERT_GT(results[0].steps, 2) << "the episode must be multi-step";
+  for (std::size_t m = 1; m < std::size(modes); ++m) {
+    SCOPED_TRACE(::testing::Message() << "mode " << m);
+    ASSERT_EQ(results[m].actions, results[0].actions);
+    ASSERT_EQ(audits[m].steps.size(), audits[0].steps.size());
+    for (std::size_t t = 0; t < audits[0].steps.size(); ++t) {
+      const AuditStep& a = audits[0].steps[t];
+      const AuditStep& b = audits[m].steps[t];
+      EXPECT_EQ(std::memcmp(&a.log_prob, &b.log_prob, sizeof(double)), 0)
+          << "step " << t << ": " << a.log_prob << " vs " << b.log_prob;
+      EXPECT_EQ(std::memcmp(&a.entropy, &b.entropy, sizeof(double)), 0)
+          << "step " << t;
+    }
+    EXPECT_EQ(std::memcmp(&results[m].log_prob_value,
+                          &results[0].log_prob_value, sizeof(double)),
+              0);
   }
 }
 

@@ -1,6 +1,7 @@
 // rlccd_report — flight-recorder report and run-diff tool.
 //
 //   rlccd_report <run>                       # text report for one run
+//   rlccd_report --profile <run>             # flat self-time span table
 //   rlccd_report --diff <base> <candidate>   # compare two runs
 //             [--max-runtime-regress PCT]    # default 10 (negative: off)
 //             [--max-tns-regress PCT]        # default 2  (negative: off)
@@ -28,6 +29,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: rlccd_report <run>\n"
+               "       rlccd_report --profile <run>\n"
                "       rlccd_report --diff <base> <candidate>\n"
                "                    [--max-runtime-regress PCT] "
                "[--max-tns-regress PCT]\n"
@@ -52,6 +54,7 @@ bool load_or_complain(const std::string& path, RunReport& report) {
 
 int main(int argc, char** argv) {
   bool diff_mode = false;
+  bool profile_mode = false;
   DiffThresholds thresholds;
   std::string json_out;
   std::vector<std::string> runs;
@@ -59,6 +62,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--diff") {
       diff_mode = true;
+    } else if (arg == "--profile") {
+      profile_mode = true;
     } else if (arg == "--max-runtime-regress" && i + 1 < argc) {
       thresholds.max_runtime_regress_pct = std::atof(argv[++i]);
     } else if (arg == "--max-tns-regress" && i + 1 < argc) {
@@ -73,6 +78,18 @@ int main(int argc, char** argv) {
     } else {
       runs.push_back(arg);
     }
+  }
+
+  if (profile_mode) {
+    if (diff_mode || runs.size() != 1) return usage();
+    RunReport report;
+    if (!load_or_complain(runs[0], report)) return 2;
+    if (!report.has_metrics) {
+      std::fprintf(stderr, "no metrics JSON in %s\n", runs[0].c_str());
+      return 2;
+    }
+    std::fputs(render_profile(report).c_str(), stdout);
+    return 0;
   }
 
   if (!diff_mode) {
