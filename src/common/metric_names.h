@@ -54,7 +54,6 @@ inline constexpr std::string_view kCounterNames[] = {
     "sta.pin_updates.backward",
     "sta.pin_updates.forward",
     "sta.relevel_batches",
-    "sta.wavefronts",
     "trace.events_dropped",
     "train.cache_bytes",
     "train.cache_evictions",

@@ -5,8 +5,7 @@
 namespace rlccd {
 
 std::vector<PinId> select_worst_k(const Sta& sta, std::size_t k) {
-  std::vector<PinId> vio;
-  sta.endpoint_violations(vio);
+  std::vector<PinId> vio = sta.endpoint_violations();
   std::sort(vio.begin(), vio.end(), [&](PinId a, PinId b) {
     return sta.endpoint_slack(a) < sta.endpoint_slack(b);
   });
@@ -15,8 +14,7 @@ std::vector<PinId> select_worst_k(const Sta& sta, std::size_t k) {
 }
 
 std::vector<PinId> select_random_k(const Sta& sta, std::size_t k, Rng& rng) {
-  std::vector<PinId> vio;
-  sta.endpoint_violations(vio);
+  std::vector<PinId> vio = sta.endpoint_violations();
   rng.shuffle(vio);
   if (vio.size() > k) vio.resize(k);
   std::sort(vio.begin(), vio.end());

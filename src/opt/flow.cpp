@@ -46,8 +46,6 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
                     const FlowConfig& config, FlowResult& result) {
   const auto cells = static_cast<double>(netlist.num_real_cells());
   Sta sta(&netlist, input.sta_config, input.clock_period);
-  // Reused across the begin/final bulk slack queries (buffer overload).
-  std::vector<double> slack_buf;
 
   // 7. Final state — also the landing pad for cancelled runs, so a stuck or
   // deadline-expired flow still reports a consistent timing summary for
@@ -60,9 +58,9 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
     result.final_clock = sta.clock();
     result.sta_stats = sta.stats();
     {
-      sta.endpoint_slacks(input.prioritized, slack_buf);
+      const std::vector<double> slacks = sta.endpoint_slacks(input.prioritized);
       for (std::size_t i = 0; i < result.prioritized_outcomes.size(); ++i) {
-        result.prioritized_outcomes[i].final_slack = slack_buf[i];
+        result.prioritized_outcomes[i].final_slack = slacks[i];
       }
     }
     SwitchingActivity act =
@@ -91,11 +89,11 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
     const double t0 = now_sec();
     sta.update();
     result.begin = sta.summary();
-    sta.endpoint_slacks(input.prioritized, slack_buf);
+    const std::vector<double> slacks = sta.endpoint_slacks(input.prioritized);
     result.prioritized_outcomes.reserve(input.prioritized.size());
     for (std::size_t i = 0; i < input.prioritized.size(); ++i) {
       result.prioritized_outcomes.push_back(
-          {input.prioritized[i], slack_buf[i], slack_buf[i]});
+          {input.prioritized[i], slacks[i], slacks[i]});
     }
     SwitchingActivity act =
         propagate_activity(netlist, ActivityConfig{}, input.pi_toggles);

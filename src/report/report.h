@@ -78,7 +78,7 @@ struct RunReport {
   bool has_trace = false;
 
   // From BENCH_*.json files (the bench binaries' --json output): flat
-  // metric names prefixed with the bench name ("sta_kernels.speedup_t8"),
+  // metric names prefixed with the bench name ("incremental.flow_speedup"),
   // sorted by name. Ratio metrics (names containing "speedup" or
   // "reduction") are hardware-comparable and participate in the diff
   // verdict; absolute times are informational only.

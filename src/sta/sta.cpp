@@ -13,9 +13,6 @@ constexpr double kInf = 1e30;
 constexpr double kPsToNs = 1e-3;
 // Fraction of wire delay added to the propagated transition.
 constexpr double kWireSlewFactor = 0.3;
-// Below this many cells a wavefront runs inline: the pool's wake/join
-// handshake costs more than the work.
-constexpr std::size_t kWavefrontGrain = 64;
 }  // namespace
 
 Sta::Sta(const Netlist* netlist, StaConfig config, double clock_period)
@@ -28,16 +25,7 @@ Sta::Sta(const Netlist* netlist, StaConfig config, double clock_period)
   ctr_forward_pins_ = &reg.counter("sta.pin_updates.forward");
   ctr_backward_pins_ = &reg.counter("sta.pin_updates.backward");
   ctr_relevel_batches_ = &reg.counter("sta.relevel_batches");
-  ctr_wavefronts_ = &reg.counter("sta.wavefronts");
   hist_update_pins_ = &reg.histogram("sta.update.pin_updates");
-}
-
-ThreadPool& Sta::pool() {
-  const int want = std::max(1, config_.num_threads);
-  if (!pool_ || pool_->num_threads() != want) {
-    pool_ = std::make_unique<ThreadPool>(want);
-  }
-  return *pool_;
 }
 
 void Sta::flush_stats_to_registry() {
@@ -52,7 +40,6 @@ void Sta::flush_stats_to_registry() {
                           flushed_stats_.backward_pin_updates);
   ctr_relevel_batches_->add(stats_.relevel_batches -
                             flushed_stats_.relevel_batches);
-  ctr_wavefronts_->add(stats_.wavefronts - flushed_stats_.wavefronts);
   if (pins > 0) hist_update_pins_->record(static_cast<double>(pins));
   flushed_stats_ = stats_;
 }
@@ -515,7 +502,7 @@ void Sta::backward_incremental(std::span<const PinId> new_endpoints) {
   for (CellId c : final_sources_) repull_output_required(c);
 }
 
-// -- full passes (wavefront kernels) ------------------------------------------
+// -- full passes --------------------------------------------------------------
 
 void Sta::forward_cell_kernel(CellId id) {
   const Netlist& nl = *netlist_;
@@ -535,8 +522,8 @@ void Sta::forward_cell_kernel(CellId id) {
     if (!net.driver.valid()) continue;
     const std::size_t di = net.driver.index();
     if (!store_.reachable(di)) continue;
-    // Pull the input pin through its wire arc (writes only this cell's own
-    // pin; the driver sits on a strictly lower wavefront).
+    // Pull the input pin through its wire arc (the driver sits on a strictly
+    // lower level, so its timing is final).
     const std::size_t ii = sink.index();
     double wd = wire_delay(sink);
     store_.arrival_max(ii) = store_.arrival_max(di) + wd;
@@ -562,91 +549,59 @@ void Sta::forward_cell_kernel(CellId id) {
 void Sta::forward_pass() {
   const Netlist& nl = *netlist_;
   store_.assign(nl.num_pins());
-  ThreadPool& tp = pool();
 
-  // Launch from startpoints: primary inputs and flop CK->Q arcs. Each cell
-  // writes only its own pins — safe as one parallel batch.
-  const std::size_t n_cells = nl.num_cells();
-  tp.parallel_for(
-      n_cells,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t ci = begin; ci < end; ++ci) {
-          const Cell& c = nl.cell(CellId(static_cast<std::uint32_t>(ci)));
-          const LibCell& lc = nl.library().cell(c.lib);
-          if (lc.kind == CellKind::Input) {
-            const Pin& out = nl.pin(c.output);
-            double load = out.net.valid() ? nl.net_load_cap(out.net) : 0.0;
-            const std::size_t oi = c.output.index();
-            store_.arrival_max(oi) = config_.input_delay;
-            store_.arrival_min(oi) = config_.input_delay;
-            store_.slew(oi) = lc.output_slew(load);
-            store_.set_reachable(oi, true);
-          } else if (lc.is_sequential()) {
-            double ck_arrival = clock_arrival(c.id);
-            // CK pin timing (informational).
-            const std::size_t cki = c.inputs[1].index();
-            store_.arrival_max(cki) = ck_arrival;
-            store_.arrival_min(cki) = ck_arrival;
-            store_.slew(cki) = config_.clock_slew;
-            store_.set_reachable(cki, true);
-            // Q launch.
-            const Pin& out = nl.pin(c.output);
-            double load = out.net.valid() ? nl.net_load_cap(out.net) : 0.0;
-            double d = lc.arc_delay(/*input_pin=*/1, load, config_.clock_slew);
-            const std::size_t oi = c.output.index();
-            store_.arrival_max(oi) = ck_arrival + d;
-            store_.arrival_min(oi) = ck_arrival + d;
-            store_.slew(oi) = lc.output_slew(load);
-            store_.set_reachable(oi, true);
-          }
-        }
-      },
-      kWavefrontGrain);
-  ++stats_.wavefronts;
-
-  // Combinational propagation, one wavefront per level: every cell of a
-  // level reads only strictly-lower-level pins and writes only its own.
-  if (!graph_.order().empty()) {
-    for (std::uint32_t lvl = 0; lvl <= graph_.max_level(); ++lvl) {
-      std::span<const CellId> cells = graph_.level_cells(lvl);
-      if (cells.empty()) continue;
-      tp.parallel_for(
-          cells.size(),
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-              forward_cell_kernel(cells[i]);
-            }
-          },
-          kWavefrontGrain);
-      ++stats_.wavefronts;
+  // Launch from startpoints: primary inputs and flop CK->Q arcs.
+  for (const Cell& c : nl.cells()) {
+    const LibCell& lc = nl.library().cell(c.lib);
+    if (lc.kind == CellKind::Input) {
+      const Pin& out = nl.pin(c.output);
+      double load = out.net.valid() ? nl.net_load_cap(out.net) : 0.0;
+      const std::size_t oi = c.output.index();
+      store_.arrival_max(oi) = config_.input_delay;
+      store_.arrival_min(oi) = config_.input_delay;
+      store_.slew(oi) = lc.output_slew(load);
+      store_.set_reachable(oi, true);
+    } else if (lc.is_sequential()) {
+      double ck_arrival = clock_arrival(c.id);
+      // CK pin timing (informational).
+      const std::size_t cki = c.inputs[1].index();
+      store_.arrival_max(cki) = ck_arrival;
+      store_.arrival_min(cki) = ck_arrival;
+      store_.slew(cki) = config_.clock_slew;
+      store_.set_reachable(cki, true);
+      // Q launch.
+      const Pin& out = nl.pin(c.output);
+      double load = out.net.valid() ? nl.net_load_cap(out.net) : 0.0;
+      double d = lc.arc_delay(/*input_pin=*/1, load, config_.clock_slew);
+      const std::size_t oi = c.output.index();
+      store_.arrival_max(oi) = ck_arrival + d;
+      store_.arrival_min(oi) = ck_arrival + d;
+      store_.slew(oi) = lc.output_slew(load);
+      store_.set_reachable(oi, true);
     }
   }
 
+  // Combinational propagation in ascending level order.
+  for (CellId cell : graph_.order()) forward_cell_kernel(cell);
+
   // Endpoint pins (flop D, primary-output inputs) receive their net arcs.
-  tp.parallel_for(
-      n_cells,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t ci = begin; ci < end; ++ci) {
-          const Cell& c = nl.cell(CellId(static_cast<std::uint32_t>(ci)));
-          const LibCell& lc = nl.library().cell(c.lib);
-          if (!lc.is_sequential() && lc.kind != CellKind::Output) continue;
-          const PinId sink = c.inputs[0];
-          const Pin& p = nl.pin(sink);
-          if (!p.net.valid()) continue;
-          const Net& net = nl.net(p.net);
-          if (!net.driver.valid()) continue;
-          const std::size_t di = net.driver.index();
-          if (!store_.reachable(di)) continue;
-          const std::size_t ii = sink.index();
-          double wd = wire_delay(sink);
-          store_.arrival_max(ii) = store_.arrival_max(di) + wd;
-          store_.arrival_min(ii) = store_.arrival_min(di) + wd;
-          store_.slew(ii) = store_.slew(di) + kWireSlewFactor * wd;
-          store_.set_reachable(ii, true);
-        }
-      },
-      kWavefrontGrain);
-  ++stats_.wavefronts;
+  for (const Cell& c : nl.cells()) {
+    const LibCell& lc = nl.library().cell(c.lib);
+    if (!lc.is_sequential() && lc.kind != CellKind::Output) continue;
+    const PinId sink = c.inputs[0];
+    const Pin& p = nl.pin(sink);
+    if (!p.net.valid()) continue;
+    const Net& net = nl.net(p.net);
+    if (!net.driver.valid()) continue;
+    const std::size_t di = net.driver.index();
+    if (!store_.reachable(di)) continue;
+    const std::size_t ii = sink.index();
+    double wd = wire_delay(sink);
+    store_.arrival_max(ii) = store_.arrival_max(di) + wd;
+    store_.arrival_min(ii) = store_.arrival_min(di) + wd;
+    store_.slew(ii) = store_.slew(di) + kWireSlewFactor * wd;
+    store_.set_reachable(ii, true);
+  }
 }
 
 void Sta::backward_cell_kernel(CellId id) {
@@ -654,7 +609,7 @@ void Sta::backward_cell_kernel(CellId id) {
   const Cell& c = nl.cell(id);
   const LibCell& lc = nl.library().cell(c.lib);
   // Pull through the output net: sink requireds live on this cell's
-  // consumers (strictly higher wavefronts) or endpoint pins (seeded).
+  // consumers (strictly higher levels) or endpoint pins (seeded).
   double out_req = pull_from_sinks_value(c.output);
   store_.required(c.output.index()) = out_req;
   const Pin& out_pin = nl.pin(c.output);
@@ -671,53 +626,24 @@ void Sta::backward_pass() {
   const Netlist& nl = *netlist_;
   std::vector<double>& required = store_.required_array();
   std::fill(required.begin(), required.end(), kInf);
-  ThreadPool& tp = pool();
 
-  // Seed endpoint required times (distinct pins — one parallel batch).
-  std::span<const PinId> eps = graph_.endpoints();
-  tp.parallel_for(
-      eps.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          required[eps[i].index()] = endpoint_required(eps[i]);
-        }
-      },
-      kWavefrontGrain);
-  ++stats_.wavefronts;
-
-  // Reverse level order, one wavefront per level: consumers' input
-  // requireds exist before the producing cell pulls them through its
-  // output net, and each cell writes only its own pins.
-  if (!graph_.order().empty()) {
-    for (std::uint32_t lvl = graph_.max_level() + 1; lvl-- > 0;) {
-      std::span<const CellId> cells = graph_.level_cells(lvl);
-      if (cells.empty()) continue;
-      tp.parallel_for(
-          cells.size(),
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-              backward_cell_kernel(cells[i]);
-            }
-          },
-          kWavefrontGrain);
-      ++stats_.wavefronts;
-    }
+  // Seed endpoint required times.
+  for (PinId ep : graph_.endpoints()) {
+    required[ep.index()] = endpoint_required(ep);
   }
 
+  // Descending level order: consumers' input requireds exist before the
+  // producing cell pulls them through its output net.
+  std::span<const CellId> order = graph_.order();
+  for (std::size_t i = order.size(); i-- > 0;) backward_cell_kernel(order[i]);
+
   // Startpoint output pins (flop Q, primary inputs).
-  tp.parallel_for(
-      nl.num_cells(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t ci = begin; ci < end; ++ci) {
-          const Cell& c = nl.cell(CellId(static_cast<std::uint32_t>(ci)));
-          const LibCell& lc = nl.library().cell(c.lib);
-          if (lc.is_sequential() || lc.kind == CellKind::Input) {
-            required[c.output.index()] = pull_from_sinks_value(c.output);
-          }
-        }
-      },
-      kWavefrontGrain);
-  ++stats_.wavefronts;
+  for (const Cell& c : nl.cells()) {
+    const LibCell& lc = nl.library().cell(c.lib);
+    if (lc.is_sequential() || lc.kind == CellKind::Input) {
+      required[c.output.index()] = pull_from_sinks_value(c.output);
+    }
+  }
 }
 
 // -- queries ------------------------------------------------------------------
@@ -758,33 +684,22 @@ double Sta::endpoint_hold_slack(PinId endpoint) const {
   return store_.arrival_min(i) - (capture + lc.hold_time);
 }
 
-void Sta::endpoint_slacks(std::span<const PinId> endpoints,
-                          std::vector<double>& out) const {
-  out.clear();
-  out.reserve(endpoints.size());
-  for (PinId ep : endpoints) {
-    out.push_back(is_endpoint(ep) ? endpoint_slack(ep) : kInf);
-  }
-}
-
 std::vector<double> Sta::endpoint_slacks(
     std::span<const PinId> endpoints) const {
   std::vector<double> slacks;
-  endpoint_slacks(endpoints, slacks);
-  return slacks;
-}
-
-void Sta::endpoint_violations(std::vector<PinId>& out) const {
-  out.clear();
-  for (PinId ep : graph_.endpoints()) {
-    double s = endpoint_slack(ep);
-    if (s < 0.0 && s > -kInf) out.push_back(ep);
+  slacks.reserve(endpoints.size());
+  for (PinId ep : endpoints) {
+    slacks.push_back(is_endpoint(ep) ? endpoint_slack(ep) : kInf);
   }
+  return slacks;
 }
 
 std::vector<PinId> Sta::endpoint_violations() const {
   std::vector<PinId> out;
-  endpoint_violations(out);
+  for (PinId ep : graph_.endpoints()) {
+    double s = endpoint_slack(ep);
+    if (s < 0.0 && s > -kInf) out.push_back(ep);
+  }
   return out;
 }
 

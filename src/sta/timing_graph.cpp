@@ -146,20 +146,19 @@ void TimingGraph::apply_structural(const Netlist& netlist,
 }
 
 void TimingGraph::rebuild_order() {
-  max_level_ = 0;
+  std::uint32_t max_level = 0;
   std::size_t comb_total = 0;
   for (std::size_t i = 0; i < level_.size(); ++i) {
     if (!is_comb_[i]) continue;
     ++comb_total;
-    max_level_ = std::max(max_level_, level_[i]);
+    max_level = std::max(max_level, level_[i]);
   }
   // Counting sort by level; ids stay ascending within a level.
-  std::vector<std::uint32_t> counts(max_level_ + 2, 0);
+  std::vector<std::uint32_t> counts(max_level + 2, 0);
   for (std::size_t i = 0; i < level_.size(); ++i) {
     if (is_comb_[i]) ++counts[level_[i] + 1];
   }
   for (std::size_t l = 1; l < counts.size(); ++l) counts[l] += counts[l - 1];
-  level_offsets_ = counts;  // counts[l] = first order_ slot of level l
   order_.assign(comb_total, CellId{});
   for (std::size_t i = 0; i < level_.size(); ++i) {
     if (!is_comb_[i]) continue;

@@ -44,19 +44,9 @@ class TimingGraph {
     RLCCD_EXPECTS(cell.index() < level_.size());
     return level_[cell.index()];
   }
-  [[nodiscard]] std::uint32_t max_level() const { return max_level_; }
 
   // Combinational cells in ascending (level, id) order.
   [[nodiscard]] std::span<const CellId> order() const { return order_; }
-
-  // Wavefront view of order(): the cells of one level, i.e. one batch whose
-  // members depend only on strictly lower levels (forward) / strictly
-  // higher levels (backward) and can be processed in parallel.
-  [[nodiscard]] std::span<const CellId> level_cells(std::uint32_t lvl) const {
-    RLCCD_EXPECTS(lvl + 1 < level_offsets_.size());
-    return std::span<const CellId>(order_).subspan(
-        level_offsets_[lvl], level_offsets_[lvl + 1] - level_offsets_[lvl]);
-  }
 
   // Timing endpoints (flop D pins, primary-output pins) in pin-index order.
   [[nodiscard]] std::span<const PinId> endpoints() const { return endpoints_; }
@@ -71,7 +61,7 @@ class TimingGraph {
                                                 const Cell& cell) const;
   // Worklist relevel from `seeds`; converges on the DAG fixpoint.
   void relevel(const Netlist& netlist, std::vector<CellId> seeds);
-  // Regenerates order_ and max_level_ by counting sort over level_.
+  // Regenerates order_ by counting sort over level_.
   void rebuild_order();
   // Classifies one cell, registering its endpoint pin if it has one.
   void admit_cell(const Netlist& netlist, const Cell& cell,
@@ -81,10 +71,8 @@ class TimingGraph {
   std::vector<char> is_comb_;            // indexed by cell
   std::vector<std::uint32_t> level_;     // indexed by cell (0 for non-comb)
   std::vector<CellId> order_;            // comb cells, ascending level
-  std::vector<std::uint32_t> level_offsets_;  // order_ range per level
   std::vector<PinId> endpoints_;         // sorted by pin index
   std::vector<char> endpoint_flag_;      // indexed by pin
-  std::uint32_t max_level_ = 0;
 };
 
 }  // namespace rlccd

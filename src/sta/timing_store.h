@@ -1,11 +1,10 @@
 // Structure-of-arrays timing storage.
 //
 // The STA data plane keeps one flat array per timing field instead of an
-// array of per-pin structs: the wavefront kernels sweep a level's pins
+// array of per-pin structs: the full passes sweep the pins level by level
 // touching only the fields they need (arrival/slew forward, required
-// backward), so each cache line carries nothing but useful data and the
-// contiguous per-field loops are written to autovectorize. The layout is
-// also the prerequisite for multi-corner analysis (per-corner arrival
+// backward), so each cache line carries nothing but useful data. The layout
+// is also the prerequisite for multi-corner analysis (per-corner arrival
 // arrays sharing one topology).
 //
 // Consumers never see the layout: Sta exposes per-field accessors plus a
@@ -101,13 +100,7 @@ class TimingStore {
            (reachable_[i] != 0) == t.reachable;
   }
 
-  // Raw per-field arrays for the wavefront kernels and bulk queries.
-  [[nodiscard]] const double* arrival_max_data() const {
-    return arrival_max_.data();
-  }
-  [[nodiscard]] const double* required_data() const {
-    return required_.data();
-  }
+  // The required-time array, for the backward pass's bulk reset and seeding.
   [[nodiscard]] std::vector<double>& required_array() { return required_; }
 
  private:
