@@ -119,10 +119,11 @@ Status write_truncated_frame(int fd, FrameType type, std::string_view payload,
 // stays false), after a short read (the kernel buffer is drained for now),
 // on end of stream (`eof` set true; decoder.mid_frame() then tells a clean
 // close from a torn write), or with an io_error Status on a real read
-// failure. The one poll-loop read path shared by the rollout supervisor
-// and the serve daemon. `bytes`, when non-null, receives the byte count
-// drained by this call (heartbeat bookkeeping wants "did anything arrive",
-// not "did a frame complete").
+// failure. The one poll-loop read path, used by ChildProcess::drain
+// (common/child.h) for child pipes and by the serve daemon for client
+// connections. `bytes`, when non-null, receives the byte count drained by
+// this call (heartbeat bookkeeping wants "did anything arrive", not "did a
+// frame complete").
 Status read_available(int fd, FrameDecoder& decoder, bool& eof,
                       std::size_t* bytes = nullptr);
 

@@ -1,22 +1,22 @@
 // Worker-process supervisor: hard isolation for rollout workers.
 //
-// RolloutSupervisor::run forks one child per worker. The fork is
-// copy-on-write, so a child sees the pristine netlist, the shared
-// DesignGraph and its policy clone without any serialization; it computes
-// its job's result bytes and sends them back over a length-prefixed pipe
-// (common/ipc.h), heartbeating from a side thread while it works. The
-// parent multiplexes every live pipe through one poll() loop and enforces:
+// RolloutSupervisor::run forks one child per worker through the shared
+// supervised-child primitive (common/child.h). The fork is copy-on-write, so
+// a child sees the pristine netlist, the shared DesignGraph and its policy
+// clone without any serialization; it computes its job's result bytes and
+// sends them back as one result frame, heartbeating from a side thread while
+// it works. The parent multiplexes every live pipe through one poll() loop;
+// ChildProcess enforces the per-attempt SIGKILL deadline and the heartbeat
+// timeout and classifies each reaped attempt. This file keeps only the
+// rollout policy:
 //
-//   * a per-attempt hard wall-clock deadline (SIGKILL — no cooperation
-//     needed from a wedged child, unlike the PR 3 watchdog),
-//   * a heartbeat timeout (a child that stops beating is wedged even if its
-//     deadline is far away),
-//   * crash classification on stream end: normal result, nonzero exit,
-//     death by signal (a real segfault and the kernel OOM killer both land
-//     here), or protocol error (stream truncated mid-frame),
-//   * bounded restart with exponential backoff plus deterministic jitter —
-//     a retried attempt re-runs the identical job, so a transient crash
-//     leaves the surviving results bit-identical to a crash-free run.
+//   * each worker restarts on its own, up to max_restarts times, after the
+//     shared retry_backoff_sec() wait keyed by (backoff_seed, worker,
+//     restart) — a retried attempt re-runs the identical job, so a transient
+//     crash leaves the surviving results bit-identical to a crash-free run;
+//   * a child's trace events (ObsDelta frames) stitch into the parent
+//     timeline;
+//   * the worker_* fault points below.
 //
 // Fault points evaluated in the parent at each spawn keep injected chaos
 // deterministic (hit counts live in one process, not eight):
@@ -35,6 +35,8 @@
 #include <string>
 #include <vector>
 
+#include "common/child.h"
+
 namespace rlccd {
 
 struct SupervisorConfig {
@@ -49,41 +51,12 @@ struct SupervisorConfig {
   double heartbeat_timeout_sec = 5.0;
   // Restarts allowed per worker per run(); attempts = max_restarts + 1.
   int max_restarts = 2;
-  // Backoff before restart r is min(base * 2^r, max) * (1 + u/2) with u in
-  // [0, 1) drawn from a stream seeded by (backoff_seed, worker), so the
-  // schedule is deterministic per worker.
+  // Backoff before restart r is retry_backoff_sec(backoff_base_sec,
+  // backoff_seed, worker, r): min(base * 2^r, 2 s) * (1 + u/2), u in [0, 1),
+  // deterministic per (seed, worker, restart).
   double backoff_base_sec = 0.05;
-  double backoff_max_sec = 2.0;
   std::uint64_t backoff_seed = 1;
 };
-
-enum class WorkerFailure : std::uint8_t {
-  kNone = 0,
-  kExit,      // child exited with a nonzero code
-  kSignal,    // child terminated by a signal (segfault, OOM kill, ...)
-  kTimeout,   // parent killed it: deadline or heartbeat silence
-  kProtocol,  // stream ended mid-frame or carried a malformed frame
-};
-const char* worker_failure_name(WorkerFailure f);
-
-// Classification of one reaped child attempt, shared by the rollout
-// supervisor and the serve daemon (both fork children that must deliver a
-// complete result frame before exiting).
-struct WorkerExit {
-  WorkerFailure failure = WorkerFailure::kNone;  // kNone: result delivered
-  int exit_code = -1;   // valid for kExit
-  int term_signal = 0;  // valid for kSignal / kTimeout
-};
-
-// Classifies a finished attempt from its raw waitpid() status. `killed`:
-// the parent SIGKILLed the child (deadline or heartbeat silence).
-// `stream_bad`: the pipe carried a malformed or truncated frame, or an
-// explicit error frame. `got_result`: a complete result frame arrived —
-// failure is kNone regardless of exit status. A clean exit (code 0) that
-// never produced a result classifies as kProtocol.
-[[nodiscard]] WorkerExit classify_worker_exit(int wait_status, bool killed,
-                                              bool stream_bad,
-                                              bool got_result);
 
 struct WorkerOutcome {
   bool completed = false;  // a whole result frame arrived

@@ -370,8 +370,6 @@ TrainStats ReinforceTrainer::train() {
       SupervisorConfig scfg;
       scfg.workers = config_.workers;
       scfg.deadline_sec = config_.rollout_deadline_sec;
-      scfg.heartbeat_interval_sec = config_.worker_heartbeat_sec;
-      scfg.heartbeat_timeout_sec = config_.worker_heartbeat_timeout_sec;
       scfg.max_restarts = config_.max_worker_restarts;
       scfg.backoff_base_sec = config_.worker_backoff_sec;
       scfg.backoff_seed =

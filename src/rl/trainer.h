@@ -106,14 +106,16 @@ struct TrainConfig {
 
   // --- Process isolation (DESIGN.md Sec. 10) ---
   // Run each rollout in a forked child process supervised over a pipe
-  // (rl/isolation/supervisor.h) instead of a thread. A crash, hang or OOM
-  // kill then costs one trajectory, not the training run: the supervisor
-  // classifies the failure, restarts the worker with exponential backoff,
-  // and after `max_worker_restarts` failed attempts the iteration proceeds
-  // with the surviving trajectories (the crashed worker's audit record is
-  // marked `crashed`). When on, `rollout_deadline_sec` becomes a hard
-  // SIGKILL deadline enforced by the parent (superseding the cooperative
-  // watchdog). A child runs the same rollout as a worker thread and ships
+  // (rl/isolation/supervisor.h, on common/child.h) instead of a thread. A
+  // crash, hang or OOM kill then costs one trajectory, not the training
+  // run: the supervisor classifies the failure, restarts the worker with
+  // exponential backoff, and after `max_worker_restarts` failed attempts
+  // the iteration proceeds with the surviving trajectories (the crashed
+  // worker's audit record is marked `crashed`). When on,
+  // `rollout_deadline_sec` becomes a hard SIGKILL deadline enforced by the
+  // parent (superseding the cooperative watchdog); a child beats every
+  // 0.25 s and is SIGKILLed after 5 s of silence (the SupervisorConfig
+  // defaults). A child runs the same rollout as a worker thread and ships
   // its scaled gradients back over the wire. A crash-free isolated run
   // produces bit-identical TrainStats, checkpoints and audit bytes to the
   // thread backend. Ignored (with a warning) on platforms
@@ -124,11 +126,6 @@ struct TrainConfig {
   // Restart backoff base: restart r waits min(base * 2^r, 2.0) seconds plus
   // deterministic jitter.
   double worker_backoff_sec = 0.05;
-  // Child heartbeat period; <= 0 disables heartbeats and the silence check.
-  double worker_heartbeat_sec = 0.25;
-  // A worker silent longer than this (no heartbeat, no payload bytes) is
-  // declared wedged and SIGKILLed; <= 0 disables.
-  double worker_heartbeat_timeout_sec = 5.0;
 };
 
 struct IterationStats {

@@ -2,30 +2,25 @@
 
 #include "serve/daemon.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/child.h"
 #include "common/contracts.h"
 #include "common/fault.h"
 #include "common/io.h"
 #include "common/log.h"
 #include "common/postmortem.h"
-#include "common/rng.h"
 #include "common/telemetry.h"
 #include "common/telemetry_wire.h"
 #include "common/trace.h"
@@ -33,7 +28,6 @@
 #include "designgen/blocks.h"
 #include "rl/audit.h"
 #include "rl/checkpoint.h"
-#include "rl/isolation/supervisor.h"
 #include "serve/protocol.h"
 #include "serve/session.h"
 #include "serve/socket.h"
@@ -43,30 +37,12 @@ namespace serve {
 
 namespace {
 
-double mono_sec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+// Jitter seed of the retry backoff (common/child.h), keyed by job id.
+constexpr std::uint64_t kRetrySeed = 1;
 
 // ===========================================================================
 // Child side: one forked process per job attempt.
 // ===========================================================================
-
-// write_frame() is two writes (header, payload); the heartbeat thread and
-// the training thread's progress/audit forwarding would tear frames without
-// a writer lock.
-struct ChildPipe {
-  int fd = -1;
-  std::mutex mutex;
-
-  void send(std::uint8_t type, std::string_view payload) {
-    std::lock_guard<std::mutex> lock(mutex);
-    // A failed pipe write means the daemon is gone; the child keeps going
-    // and its result is simply lost with it.
-    (void)write_frame(fd, static_cast<FrameType>(type), payload);
-  }
-};
 
 // SIGTERM in a job child requests a cooperative drain: the trainer stops at
 // the next iteration boundary (everything completed is checkpointed) and
@@ -98,7 +74,9 @@ class ChildProgress : public ProgressObserver {
     }
     std::string bytes;
     encode_job_progress(bytes, p);
-    pipe_->send(static_cast<std::uint8_t>(MsgType::kChildProgress), bytes);
+    // A failed write means the daemon is gone; the child keeps going and
+    // its result is simply lost with it.
+    (void)pipe_->send(static_cast<FrameType>(MsgType::kChildProgress), bytes);
 
     if (crash_after_ >= 1 && event.step == "checkpoint" &&
         ++checkpoints_ >= crash_after_) {
@@ -125,7 +103,7 @@ class ChildAudit : public AuditSink {
  private:
   void line(const std::string& json) {
     if (EventRing::enabled()) EventRing::global().note("audit", json);
-    pipe_->send(static_cast<std::uint8_t>(MsgType::kChildAudit), json);
+    (void)pipe_->send(static_cast<FrameType>(MsgType::kChildAudit), json);
   }
   ChildPipe* pipe_;
 };
@@ -141,11 +119,9 @@ std::uint32_t result_digest(const TrainStats& stats) {
   return crc32(bytes);
 }
 
-[[noreturn]] void run_job_child(const Job& job, const ServeConfig& cfg,
-                                int pipe_fd, bool crash, int crash_after) {
-  ChildPipe pipe;
-  pipe.fd = pipe_fd;
-
+// Runs one job attempt in the forked child; returns the encoded JobResult.
+std::string run_job_child(const Job& job, const ServeConfig& cfg,
+                          ChildPipe& pipe, bool crash, int crash_after) {
   static CancelToken cancel;
   g_child_cancel = &cancel;
   struct sigaction sa;
@@ -172,8 +148,8 @@ std::uint32_t result_digest(const TrainStats& stats) {
   std::uint64_t obs_ring_seq = 0;
   std::uint64_t obs_seq = 0;
   auto ship_obs = [&] {
-    // Heartbeat-thread-then-main-thread use only (the final flush runs
-    // after the beat thread is joined), so the cursors need no lock.
+    // The Heartbeat runs this on one thread at a time (its final flush
+    // after joining its thread), so the cursors need no lock.
     ObsDelta d;
     d.seq = ++obs_seq;
     d.source_pid = static_cast<std::int32_t>(::getpid());
@@ -186,28 +162,13 @@ std::uint32_t result_digest(const TrainStats& stats) {
         d.trace_events.empty() && d.ring_events.empty()) {
       return;  // nothing new since the last ship
     }
-    pipe.send(static_cast<std::uint8_t>(FrameType::kTelemetry), d.encode());
+    (void)pipe.send(FrameType::kTelemetry, d.encode());
   };
   EventRing::global().note("phase", "attempt start");
 
-  std::atomic<bool> hb_stop{false};
-  std::thread beat;
-  if (cfg.heartbeat_interval_sec > 0.0) {
-    beat = std::thread([&] {
-      const double interval = cfg.heartbeat_interval_sec;
-      double next = mono_sec();
-      while (!hb_stop.load(std::memory_order_relaxed)) {
-        const double now = mono_sec();
-        if (now >= next) {
-          pipe.send(static_cast<std::uint8_t>(FrameType::kHeartbeat), {});
-          ship_obs();
-          next = now + interval;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-    });
-  }
-
+  // Destroyed on return, so its final flush precedes the result frame:
+  // nothing recorded is lost on a clean exit.
+  Heartbeat beat(pipe, cfg.heartbeat_interval_sec, ship_obs);
   JobResult result;
   if (job.spec.kind == JobKind::kNoop) {
     // Spanned so even a noop attempt lands one trace event on its pid row.
@@ -254,17 +215,10 @@ std::uint32_t result_digest(const TrainStats& stats) {
                   job.spec.iters, stats.best_tns);
     result.detail = buf;
   }
-
-  if (beat.joinable()) {
-    hb_stop.store(true, std::memory_order_relaxed);
-    beat.join();
-  }
   EventRing::global().note("phase", "attempt done");
-  ship_obs();  // final flush: nothing recorded is lost on a clean exit
   std::string bytes;
   encode_job_result(bytes, result);
-  pipe.send(static_cast<std::uint8_t>(FrameType::kResult), bytes);
-  _exit(0);
+  return bytes;
 }
 
 // ===========================================================================
@@ -279,18 +233,8 @@ struct ClientConn {
 };
 
 struct WorkerSlot {
-  bool busy = false;
-  pid_t pid = -1;
-  int fd = -1;  // pipe read end
-  FrameDecoder decoder;
+  ChildProcess child;  // running() while the slot holds a job attempt
   Job* job = nullptr;
-  double started = 0.0;
-  double last_activity = 0.0;
-  bool got_result = false;
-  bool killed = false;
-  const char* kill_reason = "";
-  std::string error_frame;
-  JobResult result;
 };
 
 bool block_known(const std::string& name) {
@@ -388,9 +332,8 @@ struct DaemonLoop {
       : d(daemon),
         cfg(daemon.config_),
         sessions(daemon.config_.root_dir),
-        queue(daemon.config_.queue) {
-    slots.resize(static_cast<std::size_t>(std::max(1, cfg.workers)));
-  }
+        queue(daemon.config_.queue),
+        slots(static_cast<std::size_t>(std::max(1, cfg.workers))) {}
 
   // -- client output ----------------------------------------------------------
 
@@ -664,7 +607,7 @@ struct DaemonLoop {
     if (job->state == JobState::kRunning) {
       // The child drains at its next iteration boundary; finalize turns the
       // drained result into kCancelled.
-      ::kill(slots[static_cast<std::size_t>(job->slot)].pid, SIGTERM);
+      ::kill(slots[static_cast<std::size_t>(job->slot)].child.pid(), SIGTERM);
       return;
     }
     queue.remove_queued(job, JobState::kCancelled);
@@ -677,7 +620,7 @@ struct DaemonLoop {
 
   int free_slot() const {
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (!slots[i].busy) return static_cast<int>(i);
+      if (!slots[i].child.running()) return static_cast<int>(i);
     }
     return -1;
   }
@@ -693,6 +636,15 @@ struct DaemonLoop {
     }
   }
 
+  // A job whose attempt could not start ends failed with `detail`.
+  void fail_to_start(Job* job, int slot_index, std::string detail) {
+    queue.mark_running(job, slot_index);  // keep state accounting uniform
+    queue.finish_running(job, JobState::kFailed);
+    job->detail = std::move(detail);
+    ctr_failed.increment();
+    notify_watchers(job);
+  }
+
   void spawn(Job* job, int slot_index) {
     const double now = mono_sec();
     hist_wait.record(std::max(0.0, now - (job->state == JobState::kRetryWait
@@ -700,11 +652,7 @@ struct DaemonLoop {
                                               : job->submitted_sec)));
     Status made = make_dirs(job->workspace + "/ckpts");
     if (!made.ok()) {
-      queue.mark_running(job, slot_index);  // keep state accounting uniform
-      queue.finish_running(job, JobState::kFailed);
-      job->detail = "workspace: " + made.to_string();
-      ctr_failed.increment();
-      notify_watchers(job);
+      fail_to_start(job, slot_index, "workspace: " + made.to_string());
       return;
     }
 
@@ -714,118 +662,72 @@ struct DaemonLoop {
     double crash_param = 0.0;
     const bool crash = fault_fire("serve_worker_crash", &crash_param);
 
-    Pipe pipe;
-    Status ps = pipe_create(pipe);
-    if (!ps.ok()) {
-      queue.mark_running(job, slot_index);
-      queue.finish_running(job, JobState::kFailed);
-      job->detail = "pipe: " + ps.to_string();
-      ctr_failed.increment();
-      notify_watchers(job);
-      return;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(pipe.read_fd);
-      ::close(pipe.write_fd);
-      queue.mark_running(job, slot_index);
-      queue.finish_running(job, JobState::kFailed);
-      job->detail = std::string("fork: ") + std::strerror(errno);
-      ctr_failed.increment();
-      notify_watchers(job);
-      return;
-    }
-    if (pid == 0) {
-      // Child: drop every daemon fd (fork copies them all; no exec follows,
-      // so FD_CLOEXEC does not help) and run the job.
-      ::close(pipe.read_fd);
-      ::close(d.listen_fd_);
-      ::close(d.stop_read_fd_);
-      ::close(d.stop_write_fd_);
-      for (auto& [fd, conn] : clients) ::close(fd);
-      for (WorkerSlot& s : slots) {
-        if (s.busy && s.fd >= 0) ::close(s.fd);
-      }
-      run_job_child(*job, cfg, pipe.write_fd, crash,
-                    static_cast<int>(crash_param));
-    }
-    ::close(pipe.write_fd);
-    ::fcntl(pipe.read_fd, F_SETFL, O_NONBLOCK);
-
     WorkerSlot& s = slots[static_cast<std::size_t>(slot_index)];
-    s.busy = true;
-    s.pid = pid;
-    s.fd = pipe.read_fd;
-    s.decoder = FrameDecoder();
+    const double deadline = job->spec.deadline_sec > 0.0
+                                ? job->spec.deadline_sec
+                                : cfg.job_deadline_sec;
+    const double silence =
+        cfg.heartbeat_interval_sec > 0.0 ? cfg.heartbeat_timeout_sec : 0.0;
+    const Status started =
+        s.child.spawn(deadline, silence, [&](ChildPipe& pipe) {
+          // Child: drop every daemon fd (fork copies them all; no exec
+          // follows, so FD_CLOEXEC does not help) and run the job.
+          ::close(d.listen_fd_);
+          ::close(d.stop_read_fd_);
+          ::close(d.stop_write_fd_);
+          for (auto& [fd, conn] : clients) ::close(fd);
+          for (const WorkerSlot& other : slots) {
+            if (other.child.fd() >= 0) ::close(other.child.fd());
+          }
+          return run_job_child(*job, cfg, pipe, crash,
+                               static_cast<int>(crash_param));
+        });
+    if (!started.ok()) {
+      fail_to_start(job, slot_index, started.message());
+      return;
+    }
     s.job = job;
-    s.started = now;
-    s.last_activity = now;
-    s.got_result = false;
-    s.killed = false;
-    s.kill_reason = "";
-    s.error_frame.clear();
-    s.result = JobResult();
 
     queue.mark_running(job, slot_index);
     AttemptObs obs;
     obs.attempt = job->attempts;
-    obs.pid = static_cast<int>(pid);
-    obs.started_sec = now;
+    obs.pid = s.child.pid();
+    obs.started_sec = s.child.started();
     job->attempt_obs.push_back(std::move(obs));
     job->detail = "running (attempt " + std::to_string(job->attempts) + ")";
     RLCCD_LOG_INFO("serve: job %llu attempt %d -> slot %d (pid %d%s%s)",
                    static_cast<unsigned long long>(job->id), job->attempts,
-                   slot_index, static_cast<int>(pid),
-                   job->resume ? ", resume" : "",
+                   slot_index, s.child.pid(), job->resume ? ", resume" : "",
                    crash ? ", crash injected" : "");
     notify_watchers(job);
   }
 
+  // Relays a job child's progress and audit frames to the job's watchers
+  // and keeps its ObsDeltas; any other frame type is a protocol error.
   void drain_worker_pipe(int slot_index) {
     WorkerSlot& s = slots[static_cast<std::size_t>(slot_index)];
-    bool eof = false;
-    std::size_t bytes = 0;
-    Status rs = read_available(s.fd, s.decoder, eof, &bytes);
-    if (bytes > 0) s.last_activity = mono_sec();
-    Frame frame;
-    while (s.decoder.next(frame)) {
+    Job* job = s.job;
+    const bool ended = s.child.drain([&](const Frame& frame) {
       switch (frame.type) {
-        case static_cast<std::uint8_t>(FrameType::kHeartbeat):
-          break;  // activity already refreshed above
-        case static_cast<std::uint8_t>(FrameType::kResult): {
-          std::size_t off = 0;
-          JobResult r;
-          if (parse_job_result(frame.payload, off, r).ok()) {
-            s.got_result = true;
-            s.result = r;
-          } else {
-            s.error_frame = "malformed result frame";
-          }
-          break;
-        }
-        case static_cast<std::uint8_t>(FrameType::kError):
-          s.error_frame = frame.payload;
-          break;
         case static_cast<std::uint8_t>(MsgType::kChildProgress): {
           std::size_t off = 0;
           JobProgress p;
           if (parse_job_progress(frame.payload, off, p).ok()) {
-            p.job_id = s.job->id;
-            s.job->detail = p.phase + "/" + p.step +
-                            (p.index >= 0 ? " #" + std::to_string(p.index)
-                                          : "");
-            std::string bytes2;
-            encode_job_progress(bytes2, p);
-            relay_to_watchers(s.job, MsgType::kProgress, bytes2);
+            p.job_id = job->id;
+            job->detail = p.phase + "/" + p.step +
+                          (p.index >= 0 ? " #" + std::to_string(p.index) : "");
+            std::string bytes;
+            encode_job_progress(bytes, p);
+            relay_to_watchers(job, MsgType::kProgress, bytes);
           }
-          break;
+          return true;
         }
         case static_cast<std::uint8_t>(MsgType::kChildAudit): {
-          std::string bytes2;
-          ipc_append_pod(bytes2, s.job->id);
-          ipc_append_string(bytes2, frame.payload);
-          relay_to_watchers(s.job, MsgType::kAudit, bytes2);
-          break;
+          std::string bytes;
+          ipc_append_pod(bytes, job->id);
+          ipc_append_string(bytes, frame.payload);
+          relay_to_watchers(job, MsgType::kAudit, bytes);
+          return true;
         }
         case static_cast<std::uint8_t>(FrameType::kTelemetry): {
           // An ObsDelta from the child: merge the telemetry delta into the
@@ -835,12 +737,12 @@ struct DaemonLoop {
           ObsDelta d;
           if (!d.decode(frame.payload).ok()) {
             ctr_obs_errors.increment();
-            break;
+            return true;
           }
           reg.merge_delta(d.telemetry);
           ctr_obs_merged.increment();
-          if (!s.job->attempt_obs.empty()) {
-            AttemptObs& obs = s.job->attempt_obs.back();
+          if (!job->attempt_obs.empty()) {
+            AttemptObs& obs = job->attempt_obs.back();
             // Bounded accumulation: a runaway child must not balloon the
             // daemon. Oldest trace events win (the stitched timeline reads
             // left to right); newest ring events win (a postmortem wants
@@ -861,48 +763,41 @@ struct DaemonLoop {
                       static_cast<std::ptrdiff_t>(kMaxRingEvents));
             }
           }
-          break;
+          return true;
         }
         default:
-          s.error_frame = "unexpected frame type " +
-                          std::to_string(static_cast<int>(frame.type));
-          break;
+          return false;
       }
-    }
-    if (!rs.ok()) {
-      RLCCD_LOG_WARN("serve: slot %d pipe read: %s", slot_index,
-                     rs.to_string().c_str());
-      finalize_worker(slot_index);
-      return;
-    }
-    if (eof) finalize_worker(slot_index);
+    });
+    if (ended) finalize_worker(slot_index);
   }
 
   void finalize_worker(int slot_index) {
     WorkerSlot& s = slots[static_cast<std::size_t>(slot_index)];
-    ::close(s.fd);
-    s.fd = -1;
-    int st = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(s.pid, &st, 0);
-    } while (r < 0 && errno == EINTR);
-    s.pid = -1;
+    const double started = s.child.started();
+    ChildProcess::Exit ex = s.child.reap();
     Job* job = s.job;
     s.job = nullptr;
-    s.busy = false;
 
     const double now = mono_sec();
-    hist_run.record(now - s.started);
+    hist_run.record(now - started);
     if (!job->attempt_obs.empty()) job->attempt_obs.back().ended_sec = now;
 
-    if (s.got_result) {
-      job->result = s.result;
-      job->detail = s.result.detail;
+    JobResult result;
+    std::size_t off = 0;
+    if (ex.exit.failure == WorkerFailure::kNone &&
+        !parse_job_result(ex.result, off, result).ok()) {
+      ex.exit = WorkerExit{WorkerFailure::kProtocol};
+      ex.detail = "malformed result frame";
+    }
+    const WorkerExit& cls = ex.exit;
+    if (cls.failure == WorkerFailure::kNone) {
+      job->result = result;
+      job->detail = result.detail;
       if (job->cancel_requested) {
         queue.finish_running(job, JobState::kCancelled);
         ctr_cancelled.increment();
-      } else if (s.result.drained) {
+      } else if (result.drained) {
         // Stopped at a checkpoint by the drain SIGTERM; a future daemon can
         // resume this job's workspace bit-identically.
         queue.finish_running(job, JobState::kDrained);
@@ -922,22 +817,17 @@ struct DaemonLoop {
       return;
     }
 
-    // No result: classify the death exactly like the rollout supervisor.
-    const bool stream_bad = !s.decoder.error().ok() ||
-                            s.decoder.mid_frame() || !s.error_frame.empty();
-    const WorkerExit cls =
-        classify_worker_exit(st, s.killed, stream_bad, /*got_result=*/false);
+    const bool killed = cls.failure == WorkerFailure::kTimeout;
     char desc[160];
     std::snprintf(desc, sizeof(desc), "%s%s%s (exit=%d signal=%d)",
                   worker_failure_name(cls.failure),
-                  s.error_frame.empty() && !s.killed ? "" : ": ",
-                  s.killed ? s.kill_reason : s.error_frame.c_str(),
+                  ex.detail.empty() ? "" : ": ", ex.detail.c_str(),
                   cls.exit_code, cls.term_signal);
-    job->kills += s.killed ? 1 : 0;
+    job->kills += killed ? 1 : 0;
     if (!job->attempt_obs.empty()) job->attempt_obs.back().outcome = desc;
     // Every attempt that dies without a result gets a forensic record: the
     // crash classification plus the last ring events the child shipped.
-    write_postmortem(job, cls, now - s.started);
+    write_postmortem(job, cls, now - started);
 
     if (job->cancel_requested) {
       job->detail = std::string("cancelled: ") + desc;
@@ -950,14 +840,8 @@ struct DaemonLoop {
     if (!draining && job->attempts <= cfg.job_retries) {
       // Retry from the newest checkpoint with exponential backoff plus
       // deterministic per-job jitter.
-      const int restart = job->attempts - 1;  // 0-based retry index
-      Rng jitter(cfg.backoff_seed ^
-                 (0x9E3779B97F4A7C15ull * (job->id + 1)) ^
-                 static_cast<std::uint64_t>(restart));
-      double delay = cfg.retry_backoff_base_sec *
-                     std::pow(2.0, static_cast<double>(restart));
-      delay = std::min(delay, cfg.retry_backoff_max_sec);
-      delay *= 1.0 + 0.5 * jitter.uniform();
+      const double delay = retry_backoff_sec(
+          cfg.retry_backoff_base_sec, kRetrySeed, job->id, job->attempts - 1);
       queue.requeue_for_retry(job, now + delay);
       ctr_retried.increment();
       std::string resume_point = "scratch";
@@ -977,7 +861,7 @@ struct DaemonLoop {
       notify_watchers(job);
       return;
     }
-    job->detail = draining && s.killed
+    job->detail = draining && killed
                       ? std::string("failed: drain deadline forced SIGKILL")
                       : std::string("failed: ") + desc +
                             (draining ? " (during drain)" : ", retries exhausted");
@@ -1067,40 +951,27 @@ struct DaemonLoop {
 
   // -- timeouts, drain --------------------------------------------------------
 
-  void kill_worker(int slot_index, const char* reason) {
-    WorkerSlot& s = slots[static_cast<std::size_t>(slot_index)];
-    if (!s.busy || s.killed) return;
-    s.killed = true;
-    s.kill_reason = reason;
+  // Counts a SIGKILL the slot's ChildProcess just sent. The EOF that
+  // follows finalizes and classifies the attempt.
+  void note_kill(std::size_t slot_index, const char* reason) {
+    const WorkerSlot& s = slots[slot_index];
     ctr_kills.increment();
-    RLCCD_LOG_WARN("serve: job %llu (slot %d, pid %d): %s; sending SIGKILL",
+    RLCCD_LOG_WARN("serve: job %llu (slot %zu, pid %d): %s; sent SIGKILL",
                    static_cast<unsigned long long>(s.job->id), slot_index,
-                   static_cast<int>(s.pid), reason);
-    ::kill(s.pid, SIGKILL);
-    // The EOF that follows finalizes and classifies the attempt.
+                   s.child.pid(), reason);
   }
 
   void check_timeouts(double now) {
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      WorkerSlot& s = slots[i];
-      if (!s.busy || s.killed) continue;
-      double deadline = s.job->spec.deadline_sec > 0.0
-                            ? s.job->spec.deadline_sec
-                            : cfg.job_deadline_sec;
-      if (deadline > 0.0 && now - s.started > deadline) {
-        kill_worker(static_cast<int>(i), "deadline exceeded");
-        continue;
-      }
-      if (cfg.heartbeat_interval_sec > 0.0 &&
-          cfg.heartbeat_timeout_sec > 0.0 &&
-          now - s.last_activity > cfg.heartbeat_timeout_sec) {
-        kill_worker(static_cast<int>(i), "heartbeat silence");
+      if (!slots[i].child.running()) continue;
+      if (const char* reason = slots[i].child.enforce(now)) {
+        note_kill(i, reason);
       }
     }
     if (draining && drain_deadline > 0.0 && now > drain_deadline) {
       for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].busy && !slots[i].killed) {
-          kill_worker(static_cast<int>(i), "drain deadline");
+        if (slots[i].child.kill("drain deadline")) {
+          note_kill(i, "drain deadline");
           exit_code = 1;
         }
       }
@@ -1124,7 +995,8 @@ struct DaemonLoop {
       notify_watchers(job);
     }
     for (WorkerSlot& s : slots) {
-      if (s.busy) ::kill(s.pid, SIGTERM);  // stop at an iteration boundary
+      // Stop at an iteration boundary.
+      if (s.child.running()) ::kill(s.child.pid(), SIGTERM);
     }
   }
 
@@ -1161,15 +1033,15 @@ struct DaemonLoop {
     out += "},\"workers\":[";
     for (std::size_t i = 0; i < slots.size(); ++i) {
       const WorkerSlot& s = slots[i];
+      const bool busy = s.child.running();
       if (i > 0) out += ",";
       std::snprintf(buf, sizeof(buf),
                     "{\"slot\":%zu,\"busy\":%s,\"pid\":%d,\"job\":%llu,"
                     "\"phase\":",
-                    i, s.busy ? "true" : "false",
-                    s.busy ? static_cast<int>(s.pid) : -1,
-                    s.busy ? static_cast<unsigned long long>(s.job->id) : 0ull);
+                    i, busy ? "true" : "false", s.child.pid(),
+                    busy ? static_cast<unsigned long long>(s.job->id) : 0ull);
       out += buf;
-      json_str(out, s.busy ? s.job->detail : "idle");
+      json_str(out, busy ? s.job->detail : "idle");
       out += "}";
     }
     out += "],\"sessions\":[";
@@ -1329,14 +1201,7 @@ struct DaemonLoop {
     const double retry = queue.next_retry_due(now);
     if (retry > 0.0) next = std::min(next, retry);
     for (const WorkerSlot& s : slots) {
-      if (!s.busy || s.killed) continue;
-      const double deadline = s.job->spec.deadline_sec > 0.0
-                                  ? s.job->spec.deadline_sec
-                                  : cfg.job_deadline_sec;
-      if (deadline > 0.0) next = std::min(next, s.started + deadline);
-      if (cfg.heartbeat_interval_sec > 0.0 && cfg.heartbeat_timeout_sec > 0.0) {
-        next = std::min(next, s.last_activity + cfg.heartbeat_timeout_sec);
-      }
+      if (s.child.running()) next = std::min(next, s.child.next_check());
     }
     if (draining && drain_deadline > 0.0) next = std::min(next, drain_deadline);
     if (!stats_watchers.empty() && cfg.stats_push_interval_sec > 0.0) {
@@ -1377,8 +1242,8 @@ struct DaemonLoop {
         refs.push_back({Ref::kClient, fd});
       }
       for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (!slots[i].busy) continue;
-        pfds.push_back({slots[i].fd, POLLIN, 0});
+        if (!slots[i].child.running()) continue;
+        pfds.push_back({slots[i].child.fd(), POLLIN, 0});
         refs.push_back({Ref::kWorker, static_cast<int>(i)});
       }
 
@@ -1416,7 +1281,7 @@ struct DaemonLoop {
           }
           case Ref::kWorker: {
             const int slot = refs[i].key;
-            if (slots[static_cast<std::size_t>(slot)].busy) {
+            if (slots[static_cast<std::size_t>(slot)].child.running()) {
               drain_worker_pipe(slot);
             }
             break;

@@ -6,15 +6,16 @@
 // job attempt), so a crashing training run — segfault, OOM kill, wedge —
 // costs one attempt, never the daemon:
 //
-//   * the daemon classifies the death with the PR 7 supervisor's
-//     classify_worker_exit() and retries with exponential backoff plus
-//     deterministic jitter, resuming from the job's newest checkpoint
-//     (PR 3), so the retried result is bit-identical to an uncrashed run;
+//   * each slot supervises its attempt with the shared ChildProcess
+//     (common/child.h), which classifies the death; the daemon retries with
+//     the shared exponential backoff plus deterministic per-job jitter,
+//     resuming from the job's newest checkpoint, so the retried result is
+//     bit-identical to an uncrashed run;
 //   * admission control bounds the queue (global depth + per-session
 //     caps); a full queue sheds the lowest-priority queued job only for a
 //     strictly-higher-priority submit, else rejects with a reason;
-//   * a hard per-attempt deadline and a heartbeat-silence timeout are
-//     enforced with SIGKILL;
+//   * ChildProcess enforces a hard per-attempt deadline and a
+//     heartbeat-silence timeout with SIGKILL, once per attempt;
 //   * slow or vanished clients are dropped when their output buffer passes
 //     a bound — a stuck reader cannot wedge the loop;
 //   * SIGTERM drains: queued jobs are shed (reported, never silent),
@@ -50,11 +51,10 @@ struct ServeConfig {
   QueueConfig queue;
 
   // Retries per job (attempts = retries + 1); backoff before retry r is
-  // min(base * 2^r, max) * (1 + u/2), u deterministic per (seed, job id).
+  // retry_backoff_sec(base, 1, job id, r) (common/child.h):
+  // min(base * 2^r, 2 s) * (1 + u/2), u deterministic per (job id, r).
   int job_retries = 2;
   double retry_backoff_base_sec = 0.05;
-  double retry_backoff_max_sec = 2.0;
-  std::uint64_t backoff_seed = 1;
 
   // Default per-attempt wall-clock deadline (SIGKILL); a JobSpec deadline
   // overrides it per job. <= 0 disables.

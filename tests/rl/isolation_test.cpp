@@ -239,7 +239,6 @@ TEST_F(SupervisorTest, BackoffScheduleGrowsExponentiallyAndIsDeterministic) {
   cfg.workers = 1;
   cfg.max_restarts = 3;
   cfg.backoff_base_sec = 0.01;
-  cfg.backoff_max_sec = 2.0;
   cfg.backoff_seed = 42;
 
   auto run_once = [&]() {

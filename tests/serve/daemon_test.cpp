@@ -188,6 +188,70 @@ TEST_F(DaemonTest, RetriesExhaustedEndsFailedNotSilent) {
   EXPECT_FALSE(status.detail.empty()) << "failure must carry a reason";
 }
 
+TEST_F(DaemonTest, DeadlineKillsEachAttemptOnceThenFails) {
+  ServeConfig cfg;
+  cfg.job_retries = 1;
+  cfg.retry_backoff_base_sec = 0.01;
+  start_daemon(cfg);
+  ServeClient client;
+  ASSERT_TRUE(client.connect(socket_path_).ok());
+
+  std::string before;
+  ASSERT_TRUE(client.stats_json(before).ok());
+  const long long kills_before = json_int(before, "serve.jobs_killed");
+
+  // The job would sleep 30 s while heartbeating; only the per-job hard
+  // deadline ends each attempt, and it must kill each attempt exactly once.
+  JobSpec spec = noop_spec("late", /*noop_sec=*/30.0);
+  spec.deadline_sec = 0.2;
+  SubmitReply reply;
+  ASSERT_TRUE(client.submit(spec, reply).ok());
+  ASSERT_TRUE(reply.accepted) << reply.reason;
+
+  JobStatus status;
+  ASSERT_TRUE(client.wait(reply.job_id, status, 20.0).ok());
+  EXPECT_EQ(status.state, JobState::kFailed);
+  EXPECT_EQ(status.attempts, 2);
+  EXPECT_NE(status.detail.find("timeout: deadline exceeded"),
+            std::string::npos)
+      << status.detail;
+
+  std::string after;
+  ASSERT_TRUE(client.stats_json(after).ok());
+  EXPECT_EQ(json_int(after, "serve.jobs_killed"), kills_before + 2);
+}
+
+TEST_F(DaemonTest, HeartbeatSilenceKillsTheAttempt) {
+  // The child beats once at start and then not for 5 s; 0.2 s of silence
+  // is a wedge.
+  ServeConfig cfg;
+  cfg.heartbeat_interval_sec = 5.0;
+  cfg.heartbeat_timeout_sec = 0.2;
+  cfg.job_retries = 0;
+  start_daemon(cfg);
+  ServeClient client;
+  ASSERT_TRUE(client.connect(socket_path_).ok());
+
+  std::string before;
+  ASSERT_TRUE(client.stats_json(before).ok());
+  const long long kills_before = json_int(before, "serve.jobs_killed");
+
+  SubmitReply reply;
+  ASSERT_TRUE(client.submit(noop_spec("quiet", /*noop_sec=*/30.0), reply).ok());
+  ASSERT_TRUE(reply.accepted) << reply.reason;
+
+  JobStatus status;
+  ASSERT_TRUE(client.wait(reply.job_id, status, 20.0).ok());
+  EXPECT_EQ(status.state, JobState::kFailed);
+  EXPECT_EQ(status.attempts, 1);
+  EXPECT_NE(status.detail.find("timeout: heartbeat"), std::string::npos)
+      << status.detail;
+
+  std::string after;
+  ASSERT_TRUE(client.stats_json(after).ok());
+  EXPECT_EQ(json_int(after, "serve.jobs_killed"), kills_before + 1);
+}
+
 TEST_F(DaemonTest, OverloadRejectsEqualAndShedsLowerPriority) {
   ServeConfig cfg;
   cfg.workers = 1;
