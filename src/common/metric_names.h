@@ -55,10 +55,7 @@ inline constexpr std::string_view kCounterNames[] = {
     "sta.pin_updates.forward",
     "sta.relevel_batches",
     "trace.events_dropped",
-    "train.cache_bytes",
-    "train.cache_evictions",
     "train.cache_hits",
-    "train.cache_insertions",
     "train.cache_misses",
     "train.cancelled",
     "train.checkpoint_failures",
@@ -81,7 +78,6 @@ inline constexpr std::string_view kGaugeNames[] = {
     "serve.jobs_running",
     "serve.queue_depth",
     "serve.stats_watchers",
-    "train.cache_resident_bytes",
 };
 
 inline constexpr std::string_view kHistogramNames[] = {

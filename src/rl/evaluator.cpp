@@ -91,8 +91,6 @@ EvalOutcome RolloutEvaluator::evaluate(const EvalRequest& request) {
   outcome.cancelled = fr.cancelled;
   outcome.state_hash = key;
   outcome.cache_hit = false;
-  outcome.flow_sec = fr.runtime_sec();
-  outcome.sta_pin_updates = fr.sta_stats.pin_updates();
   outcome.reward = (outcome.summary.tns - reward_shift_) / reward_denom_;
   // Cancelled runs stopped at a watchdog-timing-dependent pass boundary;
   // their partial summaries are not a function of the key and must never

@@ -2,14 +2,12 @@
 //
 // The REINFORCE trainer evaluates every sampled endpoint selection by
 // running the full placement flow on a pristine copy of the design, from
-// in-thread workers or from fork-isolated worker processes, and before this
-// API each backend carried its own ad-hoc evaluation lambda.
-// RolloutEvaluator unifies them: every
-// backend builds an EvalRequest and receives an EvalOutcome, so the
-// flow-outcome cache (rl/flow_cache.h) plugs in at exactly one place and a
-// memoized outcome is indistinguishable from a fresh one everywhere
-// downstream (including on the isolation wire, which ships the same struct
-// through the same codec).
+// in-thread workers or from fork-isolated worker processes. Every backend
+// builds an EvalRequest and receives an EvalOutcome, so the flow-outcome
+// cache (rl/flow_cache.h) plugs in at exactly one place and a memoized
+// outcome is indistinguishable from a fresh one everywhere downstream
+// (including on the isolation wire, which ships the same struct through
+// the same codec).
 //
 // Memoization key: the pristine netlist's Zobrist mutation-history hash
 // (Netlist::state_hash — every rollout scratch is copy-assigned from the
@@ -17,7 +15,7 @@
 // of per-selected-pin keys. The fold is order-insensitive on purpose: the
 // flow applies prioritization margins per endpoint, so its outcome depends
 // on the selection *set*, not the order the policy emitted it — permuted
-// trajectories share one cache line.
+// trajectories share one cache entry.
 //
 // Determinism: the placement flow is a deterministic function of (pristine
 // netlist, selection set, FlowConfig), so a cache hit returns bit-identical
@@ -61,11 +59,6 @@ struct EvalOutcome {
   // outcome was served from the cache instead of running the flow.
   Hash128 state_hash;
   bool cache_hit = false;
-  // Telemetry skeleton of the flow run that produced the values: wall-clock
-  // and STA pin updates. Preserved on a hit (it then reads as "the work this
-  // hit saved").
-  double flow_sec = 0.0;
-  std::uint64_t sta_pin_updates = 0;
 };
 
 class RolloutEvaluator {
@@ -94,8 +87,6 @@ class RolloutEvaluator {
 
   // Memoization key for a selection set against the pristine design.
   [[nodiscard]] Hash128 state_hash(std::span<const PinId> selection) const;
-
-  [[nodiscard]] FlowOutcomeCache* cache() const { return cache_; }
 
  private:
   // Pops a scratch netlist from the pool (or allocates the first time) and

@@ -67,8 +67,8 @@ Status parse_audit(std::string_view bytes, std::size_t& offset,
   return Status();
 }
 
-}  // namespace
-
+// EvalOutcome codec: one field at a time, fixed width, no padding bytes on
+// the wire.
 void append_eval_outcome(std::string& out, const EvalOutcome& outcome) {
   ipc_append_pod(out, outcome.summary.wns);
   ipc_append_pod(out, outcome.summary.tns);
@@ -82,8 +82,6 @@ void append_eval_outcome(std::string& out, const EvalOutcome& outcome) {
   ipc_append_pod(out, outcome.state_hash.lo);
   ipc_append_pod(out, outcome.state_hash.hi);
   ipc_append_pod(out, static_cast<std::uint8_t>(outcome.cache_hit));
-  ipc_append_pod(out, outcome.flow_sec);
-  ipc_append_pod(out, outcome.sta_pin_updates);
 }
 
 Status parse_eval_outcome(std::string_view bytes, std::size_t& offset,
@@ -107,11 +105,10 @@ Status parse_eval_outcome(std::string_view bytes, std::size_t& offset,
   out.flow_ran = flow_ran != 0;
   out.cancelled = cancelled != 0;
   out.cache_hit = cache_hit != 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.flow_sec, "outcome flow_sec"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.sta_pin_updates,
-                          "outcome pin updates"));
   return Status();
 }
+
+}  // namespace
 
 void encode_rollout_wire(const RolloutWire& wire, std::string& out) {
   out.clear();

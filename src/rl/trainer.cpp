@@ -283,10 +283,6 @@ TrainStats ReinforceTrainer::train() {
     }
     const auto t_iter = std::chrono::steady_clock::now();
     ScopedSpan iter_span("iteration");
-    // Age the flow cache once per iteration: entries last touched several
-    // iterations ago lose replacement fights against the current policy's
-    // sampling distribution.
-    if (cache_ != nullptr) cache_->new_generation();
     // Clone policies on the main thread (cheap, deterministic).
     std::vector<Policy> clones;
     clones.reserve(static_cast<std::size_t>(config_.workers));
@@ -454,14 +450,12 @@ TrainStats ReinforceTrainer::train() {
         // child's own insert went into its copy-on-write image and died
         // with the process. Hits need no re-insert (the entry predates the
         // fork by construction), and cancelled or poisoned outcomes never
-        // enter the cache.
+        // enter the cache. insert() counts nothing, so the child's probe
+        // counters in wire.telemetry (applied below) stay the only count.
         if (cache_ != nullptr && out.outcome.flow_ran &&
             !out.outcome.cache_hit && !out.outcome.cancelled &&
             !out.poisoned) {
-          // count_global=false: the child's insert delta is already in
-          // wire.telemetry, applied below.
-          cache_->insert(out.outcome.state_hash, out.outcome,
-                         /*count_global=*/false);
+          cache_->insert(out.outcome.state_hash, out.outcome);
         }
         // Re-apply what the child's rollout recorded, so global counters,
         // histograms and span trees agree with the thread backend.
@@ -510,8 +504,6 @@ TrainStats ReinforceTrainer::train() {
         rec.poisoned = out.poisoned;
         rec.cancelled = out.outcome.cancelled;
         rec.crashed = out.crashed;
-        rec.state_hash = out.outcome.state_hash;
-        rec.cache_hit = out.outcome.cache_hit;
         rec.audit = &out.audit;
         config_.audit->on_rollout(rec);
       }
@@ -755,8 +747,6 @@ TrainStats ReinforceTrainer::train() {
       rec.tns = geo.summary.tns;
       rec.flow_ran = true;
       rec.poisoned = ro.poisoned;
-      rec.state_hash = geo.state_hash;
-      rec.cache_hit = geo.cache_hit;
       rec.audit = &greedy_audit;
       config_.audit->on_rollout(rec);
     }

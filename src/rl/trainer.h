@@ -55,9 +55,10 @@ struct TrainConfig {
   double grad_clip = 5.0;
   double overlap_threshold = 0.3;  // rho (paper default)
   double baseline_decay = 0.7;
-  // Flow-outcome cache budget in MiB (rl/flow_cache.h): memoizes reward
-  // evaluations by netlist-state hash, so a selection set the policy has
-  // already sampled skips the whole placement flow. 0 disables. Training
+  // Flow-outcome cache cap in MiB (rl/flow_cache.h): memoizes reward
+  // evaluations by netlist-state hash for this run, so a selection set the
+  // policy has already sampled skips the whole placement flow. Outcomes are
+  // stored until they fill the cap, never evicted; 0 disables. Training
   // history, checkpoints and audit bytes are identical either way — the
   // flow is deterministic in the selection set — only the wall-clock and
   // the train.cache_* metrics change.
@@ -172,9 +173,6 @@ class ReinforceTrainer {
   [[nodiscard]] const DesignGraph& graph() const { return graph_; }
   // The trainer's flow-outcome cache; null when flow_cache_mb == 0.
   [[nodiscard]] FlowOutcomeCache* flow_cache() const { return cache_.get(); }
-  [[nodiscard]] const RolloutEvaluator& evaluator() const {
-    return evaluator_;
-  }
 
  private:
   const Design* design_;

@@ -301,7 +301,7 @@ TEST(MetricNames, ManifestSanctionsKnownAndRejectsUnknown) {
   EXPECT_TRUE(metric_name_registered("serve.obs_deltas_merged"));
   EXPECT_TRUE(metric_name_registered("serve.queue_depth"));
   EXPECT_TRUE(metric_name_registered("serve.job_run_sec"));
-  EXPECT_TRUE(metric_name_registered("train.cache_resident_bytes"));
+  EXPECT_TRUE(metric_name_registered("serve.jobs_running"));
   EXPECT_TRUE(metric_name_registered("fault.serve_worker_crash"));
   EXPECT_TRUE(metric_name_registered("test.anything_goes"));
 

@@ -3,13 +3,16 @@
 // kill, result-frame truncation, silent hang), the backoff schedule, and the
 // trainer integration — a crash-free isolated run and a transiently-crashing
 // isolated run must both be bit-identical to the thread backend, while a
-// persistently crashing worker degrades the iteration instead of sinking it.
+// persistently crashing worker degrades the iteration instead of sinking it,
+// and the parent adopts every fresh child outcome into its flow cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,6 +25,7 @@
 
 #include "common/fault.h"
 #include "common/telemetry.h"
+#include "designgen/blocks.h"
 #include "rl/audit.h"
 #include "rl/isolation/supervisor.h"
 #include "rl/isolation/wire.h"
@@ -46,8 +50,6 @@ RolloutWire sample_wire() {
   w.outcome.cancelled = false;
   w.outcome.state_hash = Hash128{0x0123456789abcdefull, 0xfedcba9876543210ull};
   w.outcome.cache_hit = true;
-  w.outcome.flow_sec = 0.375;
-  w.outcome.sta_pin_updates = 4096;
   w.steps = 3;
   w.poisoned = false;
   w.selection = {PinId(7), PinId(0), PinId(4095)};
@@ -62,7 +64,7 @@ RolloutWire sample_wire() {
   w.audit.steps = {step};
   w.audit.poisoned = false;
   w.telemetry.counters = {{"flow.cancelled", 0}, {"sta.full_runs", 4}};
-  w.telemetry.gauges = {{"train.cache_resident_bytes", 4096}};
+  w.telemetry.gauges = {{"test.rollout_gauge", 4096}};
   MetricsHistogram::Snapshot h;
   h.merge_value(0.25, -2);
   h.merge_value(1.5, 1);
@@ -89,8 +91,6 @@ void expect_wire_equal(const RolloutWire& a, const RolloutWire& b) {
   EXPECT_EQ(a.outcome.cancelled, b.outcome.cancelled);
   EXPECT_EQ(a.outcome.state_hash, b.outcome.state_hash);
   EXPECT_EQ(a.outcome.cache_hit, b.outcome.cache_hit);
-  EXPECT_EQ(a.outcome.flow_sec, b.outcome.flow_sec);
-  EXPECT_EQ(a.outcome.sta_pin_updates, b.outcome.sta_pin_updates);
   EXPECT_EQ(a.steps, b.steps);
   EXPECT_EQ(a.poisoned, b.poisoned);
   ASSERT_EQ(a.selection.size(), b.selection.size());
@@ -566,6 +566,71 @@ TEST_F(TrainerIsolation, PersistentCrashDegradesIterationWithSurvivors) {
       << "the lost rollout is recorded in decision provenance";
   EXPECT_NE(isolated.audit_jsonl.find("\"type\":\"iteration\""),
             std::string::npos);
+}
+
+// Records each rollout's endpoint set, in emission order: iterations in
+// order, then the greedy decode (iteration -1).
+class SelectionSetSink : public AuditSink {
+ public:
+  struct Drawn {
+    int iteration = 0;
+    std::vector<std::uint32_t> set;  // sorted AuditStep::chosen
+    bool flow_ran = false;
+  };
+  void on_rollout(const RolloutAuditRecord& record) override {
+    Drawn d{record.iteration, {}, record.flow_ran};
+    for (const AuditStep& step : record.audit->steps) {
+      d.set.push_back(step.chosen);
+    }
+    std::sort(d.set.begin(), d.set.end());
+    drawn.push_back(std::move(d));
+  }
+  void on_iteration(const IterationAuditRecord&) override {}
+
+  std::vector<Drawn> drawn;
+};
+
+TEST_F(TrainerIsolation, ChildOutcomesAreAdoptedIntoTheParentCache) {
+  // A forked child probes the cache as it stood at the fork, and its own
+  // insert dies with the process. So a set can only hit when an earlier
+  // iteration drew it and the parent adopted that child's outcome off the
+  // wire, and the greedy decode (in the parent, after the last iteration)
+  // hits when any rollout drew its set. That makes the hit count exact.
+  Design d = generate_design(to_generator_config(find_block("block9"), 0.01));
+  SelectionSetSink sink;
+  Policy policy(PolicyConfig{}, 4);
+  TrainConfig cfg;
+  cfg.workers = 4;
+  cfg.max_iterations = 4;
+  cfg.min_iterations = 4;
+  cfg.flow = default_flow_config(d.netlist->num_real_cells(), d.clock_period);
+  cfg.audit = &sink;
+  cfg.isolate_workers = true;
+  const std::uint64_t hits_before = counter("train.cache_hits");
+  const std::uint64_t misses_before = counter("train.cache_misses");
+  ReinforceTrainer trainer(&d, &policy, cfg);
+  (void)trainer.train();
+
+  ASSERT_EQ(sink.drawn.size(), 4u * 4u + 1u);
+  std::set<std::vector<std::uint32_t>> earlier;  // sets of past iterations
+  std::vector<std::vector<std::uint32_t>> current;
+  int iteration = 0;
+  std::uint64_t expected_hits = 0;
+  for (const SelectionSetSink::Drawn& r : sink.drawn) {
+    ASSERT_TRUE(r.flow_ran) << "every rollout probes the cache";
+    if (r.iteration != iteration) {
+      earlier.insert(current.begin(), current.end());
+      current.clear();
+      iteration = r.iteration;
+    }
+    expected_hits += earlier.count(r.set);
+    current.push_back(r.set);
+  }
+  const std::uint64_t probes = sink.drawn.size();
+  EXPECT_GT(expected_hits, 0u) << "the run must resample some set";
+  EXPECT_EQ(counter("train.cache_hits") - hits_before, expected_hits);
+  EXPECT_EQ(counter("train.cache_misses") - misses_before,
+            probes - expected_hits);
 }
 
 #endif  // !_WIN32

@@ -1,5 +1,8 @@
 #include "tools/common_args.h"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -59,7 +62,7 @@ const FlagSpec kSpecs[] = {
      "restarts allowed per isolated worker per iteration", nullptr, nullptr,
      nullptr, &CommonArgs::max_worker_restarts},
     {"--flow-cache-mb", "MB",
-     "flow-outcome cache budget in MiB (0 disables memoization)", nullptr,
+     "cap on stored flow outcomes in MiB (0 disables memoization)", nullptr,
      nullptr, nullptr, nullptr, &CommonArgs::flow_cache_mb},
 };
 
@@ -82,12 +85,25 @@ bool parse_common_flag(int argc, char** argv, int& i, CommonArgs& args,
     const char* v = argv[++i];
     if (spec.str != nullptr) {
       args.*spec.str = v;
+      return true;
+    }
+    // A number must be the whole token and in range; counts are >= 0.
+    char* end = nullptr;
+    errno = 0;
+    const double d = spec.num != nullptr ? std::strtod(v, &end) : 0.0;
+    const long n = spec.num != nullptr ? 0 : std::strtol(v, &end, 10);
+    const long max = spec.int_num != nullptr ? INT_MAX : LONG_MAX;
+    if (end == v || *end != '\0' || errno == ERANGE || !std::isfinite(d) ||
+        n < 0 || n > max) {
+      std::fprintf(stderr, "%s: invalid %s value '%s'\n", spec.name,
+                   spec.value_name, v);
+      ok = false;
     } else if (spec.num != nullptr) {
-      args.*spec.num = std::atof(v);
+      args.*spec.num = d;
     } else if (spec.int_num != nullptr) {
-      args.*spec.int_num = std::atoi(v);
+      args.*spec.int_num = static_cast<int>(n);
     } else {
-      args.*spec.long_num = std::atol(v);
+      args.*spec.long_num = n;
     }
     return true;
   }

@@ -45,8 +45,10 @@ struct CommonArgs {
 
 // Tries to consume argv[i] (plus its value, when the spec takes one) as a
 // shared flag. Returns true when the token matched a shared flag, in which
-// case `i` is advanced past any value. A matched flag missing its value
-// prints a diagnostic to stderr and sets `ok` to false.
+// case `i` is advanced past any value. A matched flag missing its value, or
+// with a numeric value that is malformed, has trailing characters, is out
+// of range or (for the counts) negative, prints a diagnostic to stderr and
+// sets `ok` to false.
 bool parse_common_flag(int argc, char** argv, int& i, CommonArgs& args,
                        bool& ok);
 

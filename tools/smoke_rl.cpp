@@ -103,15 +103,12 @@ int main(int argc, char** argv) {
     const std::uint64_t hits = reg.counter("train.cache_hits").value();
     const std::uint64_t misses = reg.counter("train.cache_misses").value();
     const std::uint64_t probes = hits + misses;
-    std::printf("cache   %llu hits / %llu probes (%.1f%% hit rate, "
-                "%llu evictions)\n",
+    std::printf("cache   %llu hits / %llu probes (%.1f%% hit rate)\n",
                 static_cast<unsigned long long>(hits),
                 static_cast<unsigned long long>(probes),
                 probes > 0 ? 100.0 * static_cast<double>(hits) /
                                  static_cast<double>(probes)
-                           : 0.0,
-                static_cast<unsigned long long>(
-                    reg.counter("train.cache_evictions").value()));
+                           : 0.0);
   }
 
   if (!tools::write_common_artifacts(common, audit.get())) return 1;
