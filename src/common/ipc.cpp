@@ -8,6 +8,10 @@
 
 namespace rlccd {
 
+namespace {
+constexpr std::size_t kFrameHeader = 1 + sizeof(std::uint32_t);  // type, len
+}  // namespace
+
 void ipc_append_string(std::string& out, std::string_view s) {
   ipc_append_pod(out, static_cast<std::uint32_t>(s.size()));
   out.append(s.data(), s.size());
@@ -16,11 +20,7 @@ void ipc_append_string(std::string& out, std::string_view s) {
 Status ipc_parse_string(std::string_view bytes, std::size_t& offset,
                         std::string& s, const char* what) {
   std::uint32_t n = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n, what));
-  if (offset + n > bytes.size()) {
-    return Status::corrupt("truncated in %s (%zu of %u bytes)", what,
-                           bytes.size() - offset, n);
-  }
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n, 1, what));
   s.assign(bytes.data() + offset, n);
   offset += n;
   return Status();
@@ -37,18 +37,22 @@ void ipc_append_float_vec(std::string& out, const std::vector<float>& v) {
 Status ipc_parse_float_vec(std::string_view bytes, std::size_t& offset,
                            std::vector<float>& v, const char* what) {
   std::uint64_t n = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n, what));
-  const std::size_t nbytes = static_cast<std::size_t>(n) * sizeof(float);
-  if (offset + nbytes > bytes.size()) {
-    return Status::corrupt("truncated in %s (%zu of %zu bytes)", what,
-                           bytes.size() - offset, nbytes);
-  }
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n, sizeof(float), what));
   v.resize(static_cast<std::size_t>(n));
-  if (nbytes > 0) {
-    std::memcpy(v.data(), bytes.data() + offset, nbytes);
-    offset += nbytes;
+  if (n > 0) {
+    std::memcpy(v.data(), bytes.data() + offset, n * sizeof(float));
+    offset += n * sizeof(float);
   }
   return Status();
+}
+
+// -- frames -------------------------------------------------------------------
+
+void ipc_append_frame(std::string& out, std::uint8_t type,
+                      std::string_view payload) {
+  ipc_append_pod(out, type);
+  ipc_append_pod(out, static_cast<std::uint32_t>(payload.size()));
+  out.append(payload.data(), payload.size());
 }
 
 // -- FrameDecoder -------------------------------------------------------------
@@ -60,8 +64,7 @@ void FrameDecoder::feed(const char* data, std::size_t n) {
 
 bool FrameDecoder::next(Frame& out) {
   if (!error_.ok()) return false;
-  constexpr std::size_t kHeader = 1 + sizeof(std::uint32_t);
-  if (buf_.size() - pos_ < kHeader) {
+  if (buf_.size() - pos_ < kFrameHeader) {
     // Reclaim consumed prefix lazily so feed() stays append-only.
     if (pos_ > 0 && pos_ == buf_.size()) {
       buf_.clear();
@@ -75,10 +78,10 @@ bool FrameDecoder::next(Frame& out) {
     error_ = Status::corrupt("frame length %u exceeds %u", len, kMaxPayload);
     return false;
   }
-  if (buf_.size() - pos_ - kHeader < len) return false;
+  if (buf_.size() - pos_ - kFrameHeader < len) return false;
   out.type = static_cast<std::uint8_t>(buf_[pos_]);
-  out.payload.assign(buf_, pos_ + kHeader, len);
-  pos_ += kHeader + len;
+  out.payload.assign(buf_, pos_ + kFrameHeader, len);
+  pos_ += kFrameHeader + len;
   if (pos_ == buf_.size()) {
     buf_.clear();
     pos_ = 0;
@@ -121,14 +124,12 @@ Status write_frame(int fd, FrameType type, std::string_view payload) {
 
 Status write_truncated_frame(int fd, FrameType type, std::string_view payload,
                              std::size_t payload_bytes) {
-  std::string header;
-  header.reserve(1 + sizeof(std::uint32_t));
-  ipc_append_pod(header, static_cast<std::uint8_t>(type));
-  ipc_append_pod(header, static_cast<std::uint32_t>(payload.size()));
-  RLCCD_TRY(write_all(fd, header.data(), header.size()));
+  std::string frame;
+  frame.reserve(kFrameHeader + payload.size());
+  ipc_append_frame(frame, static_cast<std::uint8_t>(type), payload);
   const std::size_t n = payload_bytes < payload.size() ? payload_bytes
                                                        : payload.size();
-  return write_all(fd, payload.data(), n);
+  return write_all(fd, frame.data(), kFrameHeader + n);
 }
 
 Status read_available(int fd, FrameDecoder& decoder, bool& eof,

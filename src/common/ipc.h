@@ -1,4 +1,5 @@
-// Length-prefixed pipe protocol for process-isolated workers.
+// Length-prefixed pipe protocol for process-isolated workers, and the one
+// byte codec under every binary format.
 //
 // A frame is [type u8][len u32 LE][payload bytes]. Children write result /
 // heartbeat frames into a pipe; the supervising parent feeds whatever bytes
@@ -11,8 +12,14 @@
 // stream or wedges a reader. The serve daemon reuses the same frames over
 // Unix-domain sockets (serve/protocol.h).
 //
-// The codec helpers (ipc_append_pod / ipc_parse_pod / ...) are the shared
-// byte-level vocabulary for wire structs layered on top (rl/isolation/wire).
+// The codec helpers (ipc_append_pod / ipc_parse_pod / ipc_parse_count / ...)
+// are the byte-level vocabulary of all five binary formats: the rollout
+// wire (rl/isolation/wire), ObsDelta frames (common/telemetry_wire), the
+// serve protocol (serve/protocol), training checkpoints (rl/checkpoint) and
+// EP-GNN parameter files (nn/serialize). Their decoders return a Status on
+// bad bytes and never throw: every count-prefixed list reads its count
+// through ipc_parse_count, which rejects a count whose items cannot fit in
+// the bytes left before anything is allocated.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +54,24 @@ Status ipc_parse_pod(std::string_view bytes, std::size_t& offset, T& v,
   return Status();
 }
 
+// Reads a list's item count, stored at the width of `n` (u8, u32 or u64).
+// A count whose items, at `min_item_bytes` (> 0) encoded bytes each at the
+// least, cannot fit in the bytes left is corrupt: an inflated length field
+// fails here, not in the allocation it would size.
+template <class T>
+Status ipc_parse_count(std::string_view bytes, std::size_t& offset, T& n,
+                       std::size_t min_item_bytes, const char* what) {
+  static_assert(std::is_unsigned_v<T>);
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, n, what));
+  const std::size_t left = bytes.size() - offset;
+  if (n > left / min_item_bytes) {
+    return Status::corrupt("%s %llu needs at least %zu bytes each, %zu left",
+                           what, static_cast<unsigned long long>(n),
+                           min_item_bytes, left);
+  }
+  return Status();
+}
+
 void ipc_append_string(std::string& out, std::string_view s);
 Status ipc_parse_string(std::string_view bytes, std::size_t& offset,
                         std::string& s, const char* what);
@@ -69,6 +94,12 @@ struct Frame {
   std::uint8_t type = 0;
   std::string payload;
 };
+
+// Appends one whole frame: the one writer of the frame layout that
+// FrameDecoder reads. `type` is a FrameType or a protocol's own message
+// type (serve/protocol.h).
+void ipc_append_frame(std::string& out, std::uint8_t type,
+                      std::string_view payload);
 
 // Incremental frame reassembly for the supervisor's poll loop. Feed bytes as
 // they arrive; next() pops completed frames. After EOF, mid_frame() tells a

@@ -28,12 +28,8 @@ Status parse_span(std::string_view bytes, std::size_t& offset, SpanNode& node,
   RLCCD_TRY(ipc_parse_string(bytes, offset, node.name, "span name"));
   RLCCD_TRY(ipc_parse_pod(bytes, offset, node.count, "span count"));
   RLCCD_TRY(ipc_parse_pod(bytes, offset, node.total_sec, "span seconds"));
-  std::uint32_t n_children = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_children, "span child count"));
-  if (n_children > bytes.size() - offset) {
-    return Status::corrupt("span child count %u exceeds remaining bytes",
-                           n_children);
-  }
+  std::uint32_t n_children = 0;  // name length, count, seconds, child count
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_children, 24, "span child count"));
   node.children.resize(n_children);
   for (SpanNode& child : node.children) {
     RLCCD_TRY(parse_span(bytes, offset, child, depth + 1));
@@ -60,12 +56,9 @@ Status parse_histogram_snapshot(std::string_view bytes, std::size_t& offset,
   RLCCD_TRY(ipc_parse_pod(bytes, offset, h.sum, "histogram sum"));
   RLCCD_TRY(ipc_parse_pod(bytes, offset, h.min, "histogram min"));
   RLCCD_TRY(ipc_parse_pod(bytes, offset, h.max, "histogram max"));
-  std::uint32_t n_buckets = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_buckets, "histogram bucket count"));
-  if (n_buckets > bytes.size() - offset) {
-    return Status::corrupt("histogram bucket count %u exceeds remaining bytes",
-                           n_buckets);
-  }
+  std::uint32_t n_buckets = 0;  // i32 exponent + u64 count each
+  RLCCD_TRY(
+      ipc_parse_count(bytes, offset, n_buckets, 12, "histogram bucket count"));
   h.buckets.resize(n_buckets);
   for (auto& [exponent, n] : h.buckets) {
     std::int32_t e = 0;
@@ -117,33 +110,25 @@ void append_telemetry_snapshot(std::string& out,
 
 Status parse_telemetry_snapshot(std::string_view bytes, std::size_t& offset,
                                 TelemetrySnapshot& snap) {
+  // A counter or gauge is at least a name length and an 8-byte value.
   std::uint32_t n_counters = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_counters, "counter count"));
-  if (n_counters > bytes.size() - offset) {
-    return Status::corrupt("counter count %u exceeds remaining bytes",
-                           n_counters);
-  }
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_counters, 12, "counter count"));
   snap.counters.resize(n_counters);
   for (auto& [name, value] : snap.counters) {
     RLCCD_TRY(ipc_parse_string(bytes, offset, name, "counter name"));
     RLCCD_TRY(ipc_parse_pod(bytes, offset, value, "counter value"));
   }
   std::uint32_t n_gauges = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_gauges, "gauge count"));
-  if (n_gauges > bytes.size() - offset) {
-    return Status::corrupt("gauge count %u exceeds remaining bytes", n_gauges);
-  }
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_gauges, 12, "gauge count"));
   snap.gauges.resize(n_gauges);
   for (auto& [name, value] : snap.gauges) {
     RLCCD_TRY(ipc_parse_string(bytes, offset, name, "gauge name"));
     RLCCD_TRY(ipc_parse_pod(bytes, offset, value, "gauge value"));
   }
+  // Name length, count, sum, min, max and bucket count at least.
   std::uint32_t n_histograms = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_histograms, "histogram count"));
-  if (n_histograms > bytes.size() - offset) {
-    return Status::corrupt("histogram count %u exceeds remaining bytes",
-                           n_histograms);
-  }
+  RLCCD_TRY(
+      ipc_parse_count(bytes, offset, n_histograms, 40, "histogram count"));
   snap.histograms.resize(n_histograms);
   for (auto& [name, h] : snap.histograms) {
     RLCCD_TRY(ipc_parse_string(bytes, offset, name, "histogram name"));
@@ -247,12 +232,8 @@ Status ObsDelta::decode(std::string_view bytes) {
   RLCCD_TRY(ipc_parse_pod(bytes, offset, seq, "obs delta seq"));
   RLCCD_TRY(ipc_parse_pod(bytes, offset, source_pid, "obs delta pid"));
   RLCCD_TRY(parse_telemetry_snapshot(bytes, offset, telemetry));
-  std::uint32_t n_trace = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_trace, "trace event count"));
-  if (n_trace > bytes.size() - offset) {
-    return Status::corrupt("trace event count %u exceeds remaining bytes",
-                           n_trace);
-  }
+  std::uint32_t n_trace = 0;  // name length, start, dur, tid at least
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_trace, 24, "trace event count"));
   trace_events.resize(n_trace);
   for (CollectedTraceEvent& ev : trace_events) {
     RLCCD_TRY(ipc_parse_string(bytes, offset, ev.name, "trace event name"));
@@ -262,12 +243,8 @@ Status ObsDelta::decode(std::string_view bytes) {
     RLCCD_TRY(ipc_parse_pod(bytes, offset, tid, "trace event tid"));
     ev.tid = tid;
   }
-  std::uint32_t n_ring = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_ring, "ring event count"));
-  if (n_ring > bytes.size() - offset) {
-    return Status::corrupt("ring event count %u exceeds remaining bytes",
-                           n_ring);
-  }
+  std::uint32_t n_ring = 0;  // seq, time, kind and text lengths at least
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_ring, 24, "ring event count"));
   ring_events.resize(n_ring);
   for (PostmortemEvent& ev : ring_events) {
     RLCCD_TRY(ipc_parse_pod(bytes, offset, ev.seq, "ring event seq"));

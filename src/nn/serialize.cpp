@@ -4,33 +4,19 @@
 
 #include "common/fault.h"
 #include "common/io.h"
+#include "common/ipc.h"
 
 namespace rlccd {
 
 namespace {
+
 constexpr char kMagic[8] = {'R', 'L', 'C', 'C', 'D', 'N', 'N', '1'};
 
-void append_u64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-Status parse_u64(const std::string& bytes, std::size_t& offset,
-                 std::uint64_t& v, const char* what) {
-  if (offset + sizeof(v) > bytes.size()) {
-    return Status::corrupt("truncated at byte %zu while reading %s", offset,
-                           what);
-  }
-  std::memcpy(&v, bytes.data() + offset, sizeof(v));
-  offset += sizeof(v);
-  return Status();
-}
-}  // namespace
-
 void append_parameters(const std::vector<Tensor>& params, std::string& out) {
-  append_u64(out, params.size());
+  ipc_append_pod(out, static_cast<std::uint64_t>(params.size()));
   for (const Tensor& p : params) {
-    append_u64(out, p.rows());
-    append_u64(out, p.cols());
+    ipc_append_pod(out, static_cast<std::uint64_t>(p.rows()));
+    ipc_append_pod(out, static_cast<std::uint64_t>(p.cols()));
     if (p.size() > 0) {
       out.append(reinterpret_cast<const char*>(p.data()),
                  p.size() * sizeof(float));
@@ -38,10 +24,10 @@ void append_parameters(const std::vector<Tensor>& params, std::string& out) {
   }
 }
 
-Status parse_parameters(std::vector<Tensor>& params, const std::string& bytes,
+Status parse_parameters(std::vector<Tensor>& params, std::string_view bytes,
                         std::size_t& offset) {
-  std::uint64_t count = 0;
-  RLCCD_TRY(parse_u64(bytes, offset, count, "parameter count"));
+  std::uint64_t count = 0;  // u64 rows and cols at least
+  RLCCD_TRY(ipc_parse_count(bytes, offset, count, 16, "parameter count"));
   if (count != params.size()) {
     return Status::invalid_argument(
         "parameter count %llu, expected %zu",
@@ -50,8 +36,8 @@ Status parse_parameters(std::vector<Tensor>& params, const std::string& bytes,
   for (std::size_t i = 0; i < params.size(); ++i) {
     Tensor& p = params[i];
     std::uint64_t rows = 0, cols = 0;
-    RLCCD_TRY(parse_u64(bytes, offset, rows, "parameter shape"));
-    RLCCD_TRY(parse_u64(bytes, offset, cols, "parameter shape"));
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, rows, "parameter shape"));
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, cols, "parameter shape"));
     if (rows != p.rows() || cols != p.cols()) {
       return Status::invalid_argument(
           "parameter %zu: shape %llux%llu, expected %zux%zu", i,
@@ -70,6 +56,8 @@ Status parse_parameters(std::vector<Tensor>& params, const std::string& bytes,
   }
   return Status();
 }
+
+}  // namespace
 
 Status save_parameters(const std::vector<Tensor>& params,
                        const std::string& path) {

@@ -1,7 +1,8 @@
 // Parameter (de)serialization: a simple self-describing binary format
-// ("RLCCDNN1" magic, then count and shape-prefixed float blobs). Used for
-// transfer learning — a pre-trained EP-GNN is saved on one design and loaded
-// on an unseen one (paper Sec. IV-B) — and by the training checkpoints.
+// ("RLCCDNN1" magic, then count and shape-prefixed float blobs, written
+// with the common/ipc.h byte codec). Used for transfer learning — a
+// pre-trained EP-GNN is saved on one design and loaded on an unseen one
+// (paper Sec. IV-B).
 //
 // Failures return a Status with an actionable message (which tensor, which
 // shape, how the file is truncated) instead of a bare bool; saves are
@@ -24,13 +25,6 @@ Status save_parameters(const std::vector<Tensor>& params,
 
 // Loads into existing tensors; count and shapes must match.
 Status load_parameters(std::vector<Tensor>& params, const std::string& path);
-
-// In-memory (de)serialization of a parameter list's values, shape-prefixed;
-// shared by the file format above and the training checkpoint payload.
-void append_parameters(const std::vector<Tensor>& params, std::string& out);
-// Parses from `bytes` starting at `offset` (advanced past the parsed data).
-Status parse_parameters(std::vector<Tensor>& params, const std::string& bytes,
-                        std::size_t& offset);
 
 // In-memory copy helpers (parallel training: clone <-> master).
 void copy_parameter_values(const std::vector<Tensor>& src,

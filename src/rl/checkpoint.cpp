@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <type_traits>
 
 #include "common/fault.h"
 #include "common/io.h"
+#include "common/ipc.h"
 
 namespace rlccd {
 
@@ -20,169 +20,123 @@ constexpr char kMagic[10] = {'R', 'L', 'C', 'C', 'D', 'C', 'K', 'P', 'T', '1'};
 // leave those fields zero in the restored history.
 constexpr std::uint32_t kVersion = 2;
 
-// -- little scalar codec ------------------------------------------------------
-
-template <class T>
-void append_pod(std::string& out, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <class T>
-Status parse_pod(const std::string& bytes, std::size_t& offset, T& v,
-                 const char* what) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (offset + sizeof(v) > bytes.size()) {
-    return Status::corrupt("truncated at byte %zu while reading %s", offset,
-                           what);
-  }
-  std::memcpy(&v, bytes.data() + offset, sizeof(v));
-  offset += sizeof(v);
-  return Status();
-}
-
-void append_float_vec(std::string& out, const std::vector<float>& v) {
-  append_pod(out, static_cast<std::uint64_t>(v.size()));
-  if (!v.empty()) {
-    out.append(reinterpret_cast<const char*>(v.data()),
-               v.size() * sizeof(float));
-  }
-}
-
-Status parse_float_vec(const std::string& bytes, std::size_t& offset,
-                       std::vector<float>& v, const char* what) {
-  std::uint64_t n = 0;
-  RLCCD_TRY(parse_pod(bytes, offset, n, what));
-  const std::size_t nbytes = static_cast<std::size_t>(n) * sizeof(float);
-  if (offset + nbytes > bytes.size()) {
-    return Status::corrupt("truncated in %s (%zu of %zu bytes)", what,
-                           bytes.size() - offset, nbytes);
-  }
-  v.resize(static_cast<std::size_t>(n));
-  if (nbytes > 0) {
-    std::memcpy(v.data(), bytes.data() + offset, nbytes);
-    offset += nbytes;
-  }
-  return Status();
-}
-
 std::string serialize_payload(const TrainCheckpoint& ckpt) {
   std::string out;
-  append_pod(out, ckpt.seed);
-  append_pod(out, ckpt.workers);
-  append_pod(out, ckpt.next_iter);
-  append_pod(out, ckpt.baseline);
-  append_pod(out, static_cast<std::uint8_t>(ckpt.baseline_init ? 1 : 0));
-  append_pod(out, ckpt.stall);
-  append_pod(out, ckpt.rng_state);
+  ipc_append_pod(out, ckpt.seed);
+  ipc_append_pod(out, ckpt.workers);
+  ipc_append_pod(out, ckpt.next_iter);
+  ipc_append_pod(out, ckpt.baseline);
+  ipc_append_pod(out, static_cast<std::uint8_t>(ckpt.baseline_init ? 1 : 0));
+  ipc_append_pod(out, ckpt.stall);
+  ipc_append_pod(out, ckpt.rng_state);
 
-  append_pod(out, static_cast<std::uint64_t>(ckpt.params.size()));
+  ipc_append_pod(out, static_cast<std::uint64_t>(ckpt.params.size()));
   for (std::size_t i = 0; i < ckpt.params.size(); ++i) {
-    append_pod(out, ckpt.param_shapes[i].first);
-    append_pod(out, ckpt.param_shapes[i].second);
-    append_float_vec(out, ckpt.params[i]);
+    ipc_append_pod(out, ckpt.param_shapes[i].first);
+    ipc_append_pod(out, ckpt.param_shapes[i].second);
+    ipc_append_float_vec(out, ckpt.params[i]);
   }
 
-  append_pod(out, static_cast<std::int64_t>(ckpt.adam.t));
-  append_pod(out, static_cast<std::uint64_t>(ckpt.adam.m.size()));
+  ipc_append_pod(out, static_cast<std::int64_t>(ckpt.adam.t));
+  ipc_append_pod(out, static_cast<std::uint64_t>(ckpt.adam.m.size()));
   for (std::size_t i = 0; i < ckpt.adam.m.size(); ++i) {
-    append_float_vec(out, ckpt.adam.m[i]);
-    append_float_vec(out, ckpt.adam.v[i]);
+    ipc_append_float_vec(out, ckpt.adam.m[i]);
+    ipc_append_float_vec(out, ckpt.adam.v[i]);
   }
 
   const TrainStats& s = ckpt.stats;
-  append_pod(out, s.begin_tns);
-  append_pod(out, s.default_tns);
-  append_pod(out, static_cast<std::uint64_t>(s.default_nve));
-  append_pod(out, s.best_tns);
-  append_pod(out, static_cast<std::uint64_t>(s.best_selection.size()));
-  for (PinId pin : s.best_selection) append_pod(out, pin.value);
-  append_pod(out, static_cast<std::uint64_t>(s.history.size()));
+  ipc_append_pod(out, s.begin_tns);
+  ipc_append_pod(out, s.default_tns);
+  ipc_append_pod(out, static_cast<std::uint64_t>(s.default_nve));
+  ipc_append_pod(out, s.best_tns);
+  ipc_append_pod(out, static_cast<std::uint64_t>(s.best_selection.size()));
+  for (PinId pin : s.best_selection) ipc_append_pod(out, pin.value);
+  ipc_append_pod(out, static_cast<std::uint64_t>(s.history.size()));
   for (const IterationStats& it : s.history) {
-    append_pod(out, it.mean_reward);
-    append_pod(out, it.mean_tns);
-    append_pod(out, it.iter_best_tns);
-    append_pod(out, it.best_tns);
-    append_pod(out, it.mean_steps);
-    append_pod(out, it.mean_entropy);
-    append_pod(out, it.grad_norm);
-    append_pod(out, it.baseline);
+    ipc_append_pod(out, it.mean_reward);
+    ipc_append_pod(out, it.mean_tns);
+    ipc_append_pod(out, it.iter_best_tns);
+    ipc_append_pod(out, it.best_tns);
+    ipc_append_pod(out, it.mean_steps);
+    ipc_append_pod(out, it.mean_entropy);
+    ipc_append_pod(out, it.grad_norm);
+    ipc_append_pod(out, it.baseline);
   }
-  append_pod(out, static_cast<std::int32_t>(s.iterations));
-  append_pod(out, static_cast<std::int32_t>(s.flow_runs));
-  append_pod(out, s.train_seconds);
+  ipc_append_pod(out, static_cast<std::int32_t>(s.iterations));
+  ipc_append_pod(out, static_cast<std::int32_t>(s.flow_runs));
+  ipc_append_pod(out, s.train_seconds);
   return out;
 }
 
-Status parse_payload(TrainCheckpoint& ckpt, const std::string& bytes) {
+Status parse_payload(TrainCheckpoint& ckpt, std::string_view bytes) {
   std::size_t offset = 0;
-  RLCCD_TRY(parse_pod(bytes, offset, ckpt.seed, "seed"));
-  RLCCD_TRY(parse_pod(bytes, offset, ckpt.workers, "workers"));
-  RLCCD_TRY(parse_pod(bytes, offset, ckpt.next_iter, "next_iter"));
-  RLCCD_TRY(parse_pod(bytes, offset, ckpt.baseline, "baseline"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.seed, "seed"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.workers, "workers"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.next_iter, "next_iter"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.baseline, "baseline"));
   std::uint8_t baseline_init = 0;
-  RLCCD_TRY(parse_pod(bytes, offset, baseline_init, "baseline_init"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, baseline_init, "baseline_init"));
   ckpt.baseline_init = baseline_init != 0;
-  RLCCD_TRY(parse_pod(bytes, offset, ckpt.stall, "stall"));
-  RLCCD_TRY(parse_pod(bytes, offset, ckpt.rng_state, "rng_state"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.stall, "stall"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.rng_state, "rng_state"));
 
-  std::uint64_t n_params = 0;
-  RLCCD_TRY(parse_pod(bytes, offset, n_params, "parameter count"));
-  ckpt.params.resize(static_cast<std::size_t>(n_params));
-  ckpt.param_shapes.resize(static_cast<std::size_t>(n_params));
-  for (std::size_t i = 0; i < ckpt.params.size(); ++i) {
-    RLCCD_TRY(parse_pod(bytes, offset, ckpt.param_shapes[i].first,
-                        "parameter rows"));
-    RLCCD_TRY(parse_pod(bytes, offset, ckpt.param_shapes[i].second,
-                        "parameter cols"));
-    RLCCD_TRY(parse_float_vec(bytes, offset, ckpt.params[i],
-                              "parameter values"));
+  std::uint64_t n_params = 0;  // u64 rows, cols and value count at least
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_params, 24, "parameter count"));
+  ckpt.params.resize(n_params);
+  ckpt.param_shapes.resize(n_params);
+  for (std::size_t i = 0; i < n_params; ++i) {
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.param_shapes[i].first,
+                            "parameter rows"));
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.param_shapes[i].second,
+                            "parameter cols"));
+    RLCCD_TRY(ipc_parse_float_vec(bytes, offset, ckpt.params[i],
+                                  "parameter values"));
   }
 
   std::int64_t adam_t = 0;
-  RLCCD_TRY(parse_pod(bytes, offset, adam_t, "adam step count"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, adam_t, "adam step count"));
   ckpt.adam.t = static_cast<long>(adam_t);
-  std::uint64_t n_adam = 0;
-  RLCCD_TRY(parse_pod(bytes, offset, n_adam, "adam parameter count"));
-  ckpt.adam.m.resize(static_cast<std::size_t>(n_adam));
-  ckpt.adam.v.resize(static_cast<std::size_t>(n_adam));
-  for (std::size_t i = 0; i < ckpt.adam.m.size(); ++i) {
-    RLCCD_TRY(parse_float_vec(bytes, offset, ckpt.adam.m[i], "adam m"));
-    RLCCD_TRY(parse_float_vec(bytes, offset, ckpt.adam.v[i], "adam v"));
+  std::uint64_t n_adam = 0;  // two u64 value counts at least
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_adam, 16, "adam parameter count"));
+  ckpt.adam.m.resize(n_adam);
+  ckpt.adam.v.resize(n_adam);
+  for (std::size_t i = 0; i < n_adam; ++i) {
+    RLCCD_TRY(ipc_parse_float_vec(bytes, offset, ckpt.adam.m[i], "adam m"));
+    RLCCD_TRY(ipc_parse_float_vec(bytes, offset, ckpt.adam.v[i], "adam v"));
   }
 
   TrainStats& s = ckpt.stats;
-  RLCCD_TRY(parse_pod(bytes, offset, s.begin_tns, "begin_tns"));
-  RLCCD_TRY(parse_pod(bytes, offset, s.default_tns, "default_tns"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, s.begin_tns, "begin_tns"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, s.default_tns, "default_tns"));
   std::uint64_t default_nve = 0;
-  RLCCD_TRY(parse_pod(bytes, offset, default_nve, "default_nve"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, default_nve, "default_nve"));
   s.default_nve = static_cast<std::size_t>(default_nve);
-  RLCCD_TRY(parse_pod(bytes, offset, s.best_tns, "best_tns"));
-  std::uint64_t n_sel = 0;
-  RLCCD_TRY(parse_pod(bytes, offset, n_sel, "selection size"));
-  s.best_selection.resize(static_cast<std::size_t>(n_sel));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, s.best_tns, "best_tns"));
+  std::uint64_t n_sel = 0;  // u32 pins
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_sel, 4, "selection size"));
+  s.best_selection.resize(n_sel);
   for (PinId& pin : s.best_selection) {
-    RLCCD_TRY(parse_pod(bytes, offset, pin.value, "selection pin"));
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, pin.value, "selection pin"));
   }
-  std::uint64_t n_hist = 0;
-  RLCCD_TRY(parse_pod(bytes, offset, n_hist, "history size"));
-  s.history.resize(static_cast<std::size_t>(n_hist));
+  std::uint64_t n_hist = 0;  // eight doubles per entry
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_hist, 64, "history size"));
+  s.history.resize(n_hist);
   for (IterationStats& it : s.history) {
-    RLCCD_TRY(parse_pod(bytes, offset, it.mean_reward, "history"));
-    RLCCD_TRY(parse_pod(bytes, offset, it.mean_tns, "history"));
-    RLCCD_TRY(parse_pod(bytes, offset, it.iter_best_tns, "history"));
-    RLCCD_TRY(parse_pod(bytes, offset, it.best_tns, "history"));
-    RLCCD_TRY(parse_pod(bytes, offset, it.mean_steps, "history"));
-    RLCCD_TRY(parse_pod(bytes, offset, it.mean_entropy, "history"));
-    RLCCD_TRY(parse_pod(bytes, offset, it.grad_norm, "history"));
-    RLCCD_TRY(parse_pod(bytes, offset, it.baseline, "history"));
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.mean_reward, "history"));
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.mean_tns, "history"));
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.iter_best_tns, "history"));
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.best_tns, "history"));
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.mean_steps, "history"));
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.mean_entropy, "history"));
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.grad_norm, "history"));
+    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.baseline, "history"));
   }
   std::int32_t iterations = 0, flow_runs = 0;
-  RLCCD_TRY(parse_pod(bytes, offset, iterations, "iterations"));
-  RLCCD_TRY(parse_pod(bytes, offset, flow_runs, "flow_runs"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, iterations, "iterations"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, flow_runs, "flow_runs"));
   s.iterations = iterations;
   s.flow_runs = flow_runs;
-  RLCCD_TRY(parse_pod(bytes, offset, s.train_seconds, "train_seconds"));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, s.train_seconds, "train_seconds"));
   if (offset != bytes.size()) {
     return Status::corrupt("%zu trailing bytes after payload",
                            bytes.size() - offset);
@@ -264,9 +218,9 @@ Status save_checkpoint(const TrainCheckpoint& ckpt, const std::string& path) {
   file.reserve(payload.size() + 32);
   file.append(kMagic, sizeof(kMagic));
   const std::uint32_t version = kVersion;
-  append_pod(file, version);
-  append_pod(file, static_cast<std::uint64_t>(payload.size()));
-  append_pod(file, crc32(payload));
+  ipc_append_pod(file, version);
+  ipc_append_pod(file, static_cast<std::uint64_t>(payload.size()));
+  ipc_append_pod(file, crc32(payload));
   file.append(payload);
   return atomic_write_file(path, file);
 }
@@ -284,23 +238,24 @@ Status load_checkpoint(TrainCheckpoint& ckpt, const std::string& path) {
   }
   offset = sizeof(kMagic);
   std::uint32_t version = 0;
-  RLCCD_TRY(parse_pod(bytes, offset, version, "version").with_context(path));
+  RLCCD_TRY(
+      ipc_parse_pod(bytes, offset, version, "version").with_context(path));
   if (version != kVersion) {
     return Status::corrupt("%s: unsupported checkpoint version %u",
                            path.c_str(), version);
   }
   std::uint64_t payload_size = 0;
   std::uint32_t crc = 0;
-  RLCCD_TRY(
-      parse_pod(bytes, offset, payload_size, "payload size").with_context(path));
-  RLCCD_TRY(parse_pod(bytes, offset, crc, "crc").with_context(path));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, payload_size, "payload size")
+                .with_context(path));
+  RLCCD_TRY(ipc_parse_pod(bytes, offset, crc, "crc").with_context(path));
   if (offset + payload_size != bytes.size()) {
     return Status::corrupt(
         "%s: payload size %llu does not match file (%zu bytes after header)",
         path.c_str(), static_cast<unsigned long long>(payload_size),
         bytes.size() - offset);
   }
-  const std::string payload = bytes.substr(offset);
+  const std::string_view payload = std::string_view(bytes).substr(offset);
   const std::uint32_t actual = crc32(payload);
   if (actual != crc) {
     return Status::corrupt("%s: CRC mismatch (stored %08x, computed %08x)",

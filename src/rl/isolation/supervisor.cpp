@@ -206,14 +206,14 @@ std::vector<WorkerOutcome> RolloutSupervisor::run(const WorkerJob& job) {
 
   // Child trace events stitch into the parent timeline on the child's pid
   // row. A frame that fails to decode is dropped whole — a torn delta can
-  // never half-apply.
+  // never half-apply. Numeric telemetry is not read here: it rides the
+  // result wire (RolloutWire::telemetry), which the trainer merges.
   auto on_frame = [&](int w, const Frame& frame) {
     if (frame.type != static_cast<std::uint8_t>(FrameType::kTelemetry)) {
       return false;
     }
     ObsDelta d;
     if (d.decode(frame.payload).ok()) {
-      reg.merge_delta(d.telemetry);
       TraceRecorder::global().import_events(
           d.source_pid > 0 ? d.source_pid
                            : slots[static_cast<std::size_t>(w)].child.pid(),

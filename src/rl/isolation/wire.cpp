@@ -33,31 +33,24 @@ Status parse_audit(std::string_view bytes, std::size_t& offset,
   std::uint8_t poisoned = 0;
   RLCCD_TRY(ipc_parse_pod(bytes, offset, poisoned, "audit poisoned"));
   audit.poisoned = poisoned != 0;
+  // A step is at least chosen (4), three doubles and both counts (1 + 4).
   std::uint32_t n_steps = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_steps, "audit step count"));
-  if (n_steps > bytes.size() - offset) {
-    return Status::corrupt("audit step count %u exceeds remaining bytes",
-                           n_steps);
-  }
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_steps, 33, "audit step count"));
   audit.steps.resize(n_steps);
   for (AuditStep& step : audit.steps) {
     RLCCD_TRY(ipc_parse_pod(bytes, offset, step.chosen, "audit chosen"));
     RLCCD_TRY(ipc_parse_pod(bytes, offset, step.slack, "audit slack"));
     RLCCD_TRY(ipc_parse_pod(bytes, offset, step.log_prob, "audit log_prob"));
     RLCCD_TRY(ipc_parse_pod(bytes, offset, step.entropy, "audit entropy"));
-    std::uint8_t n_top = 0;
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, n_top, "audit top-k count"));
+    std::uint8_t n_top = 0;  // u32 endpoint + double probability each
+    RLCCD_TRY(ipc_parse_count(bytes, offset, n_top, 12, "audit top-k count"));
     step.top_probs.resize(n_top);
     for (auto& [endpoint, prob] : step.top_probs) {
       RLCCD_TRY(ipc_parse_pod(bytes, offset, endpoint, "top-k endpoint"));
       RLCCD_TRY(ipc_parse_pod(bytes, offset, prob, "top-k probability"));
     }
-    std::uint32_t n_masked = 0;
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, n_masked, "audit mask count"));
-    if (n_masked > bytes.size() - offset) {
-      return Status::corrupt("audit mask count %u exceeds remaining bytes",
-                             n_masked);
-    }
+    std::uint32_t n_masked = 0;  // u32 endpoint + double overlap each
+    RLCCD_TRY(ipc_parse_count(bytes, offset, n_masked, 12, "audit mask count"));
     step.masked.resize(n_masked);
     for (AuditMaskEvent& ev : step.masked) {
       RLCCD_TRY(ipc_parse_pod(bytes, offset, ev.endpoint, "masked endpoint"));
@@ -138,22 +131,16 @@ Status decode_rollout_wire(std::string_view bytes, RolloutWire& out) {
   RLCCD_TRY(ipc_parse_pod(bytes, offset, poisoned, "poisoned"));
   out.poisoned = poisoned != 0;
 
-  std::uint32_t n_sel = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_sel, "selection count"));
-  if (n_sel > bytes.size() - offset) {
-    return Status::corrupt("selection count %u exceeds remaining bytes", n_sel);
-  }
+  std::uint32_t n_sel = 0;  // u32 pins
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n_sel, 4, "selection count"));
   out.selection.resize(n_sel);
   for (PinId& pin : out.selection) {
     RLCCD_TRY(ipc_parse_pod(bytes, offset, pin.value, "selection pin"));
   }
 
-  std::uint32_t n_grads = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n_grads, "gradient tensor count"));
-  if (n_grads > bytes.size() - offset) {
-    return Status::corrupt("gradient tensor count %u exceeds remaining bytes",
-                           n_grads);
-  }
+  std::uint32_t n_grads = 0;  // u64 value count at least
+  RLCCD_TRY(
+      ipc_parse_count(bytes, offset, n_grads, 8, "gradient tensor count"));
   out.grads.resize(n_grads);
   for (std::vector<float>& g : out.grads) {
     RLCCD_TRY(ipc_parse_float_vec(bytes, offset, g, "gradient tensor"));

@@ -12,7 +12,6 @@
 #include "common/log.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
-#include "nn/serialize.h"
 #include "rl/checkpoint.h"
 #include "rl/flow_cache.h"
 #include "rl/isolation/supervisor.h"

@@ -19,6 +19,7 @@
 #include "common/contracts.h"
 #include "common/fault.h"
 #include "common/io.h"
+#include "common/json_writer.h"
 #include "common/log.h"
 #include "common/postmortem.h"
 #include "common/telemetry.h"
@@ -244,42 +245,12 @@ bool block_known(const std::string& name) {
   return false;
 }
 
-void append_frame_bytes(std::string& out, MsgType type,
-                        std::string_view payload) {
-  ipc_append_pod(out, static_cast<std::uint8_t>(type));
-  ipc_append_pod(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload.data(), payload.size());
-}
-
 void json_kv(std::string& out, const char* key, std::uint64_t v,
              bool comma = true) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "\"%s\":%llu%s", key,
                 static_cast<unsigned long long>(v), comma ? "," : "");
   out += buf;
-}
-
-// Minimal JSON string escape for free-text fields (job detail lines, paths)
-// embedded in the stats document.
-void json_str(std::string& out, std::string_view s) {
-  out += '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -339,7 +310,7 @@ struct DaemonLoop {
 
   void send_msg(ClientConn& c, MsgType type, std::string_view payload) {
     if (c.dead) return;
-    append_frame_bytes(c.outbuf, type, payload);
+    ipc_append_frame(c.outbuf, static_cast<std::uint8_t>(type), payload);
     flush_client(c);
     if (c.outbuf.size() > cfg.client_outbuf_limit) {
       RLCCD_LOG_WARN("serve: client fd %d over outbuf limit (%zu bytes); "
@@ -1037,12 +1008,12 @@ struct DaemonLoop {
       if (i > 0) out += ",";
       std::snprintf(buf, sizeof(buf),
                     "{\"slot\":%zu,\"busy\":%s,\"pid\":%d,\"job\":%llu,"
-                    "\"phase\":",
+                    "\"phase\":\"",
                     i, busy ? "true" : "false", s.child.pid(),
                     busy ? static_cast<unsigned long long>(s.job->id) : 0ull);
       out += buf;
-      json_str(out, busy ? s.job->detail : "idle");
-      out += "}";
+      json_escape(out, busy ? s.job->detail : "idle");
+      out += "\"}";
     }
     out += "],\"sessions\":[";
     bool first = true;
@@ -1113,9 +1084,10 @@ struct DaemonLoop {
       const MetricsHistogram::Snapshot h = reg.histogram(name).snapshot();
       if (!first_h) out += ",";
       first_h = false;
-      json_str(out, name);
+      out += '"';
+      json_escape(out, name);
       std::snprintf(buf, sizeof(buf),
-                    ":{\"count\":%llu,\"sum\":%.6f,\"p50\":%.6f,"
+                    "\":{\"count\":%llu,\"sum\":%.6f,\"p50\":%.6f,"
                     "\"p95\":%.6f,\"p99\":%.6f}",
                     static_cast<unsigned long long>(h.count), h.sum,
                     h.quantile(0.5), h.quantile(0.95), h.quantile(0.99));

@@ -225,8 +225,8 @@ Status parse_job_progress(std::string_view bytes, std::size_t& offset,
   RLCCD_TRY(ipc_parse_pod(bytes, offset, progress.index, "progress.index"));
   RLCCD_TRY(ipc_parse_pod(bytes, offset, progress.seconds,
                           "progress.seconds"));
-  std::uint32_t n = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, n, "progress.metric_count"));
+  std::uint32_t n = 0;  // name length + double value each
+  RLCCD_TRY(ipc_parse_count(bytes, offset, n, 12, "progress.metric_count"));
   if (n > 1024) return Status::corrupt("absurd metric count %u", n);
   progress.metrics.clear();
   progress.metrics.reserve(n);

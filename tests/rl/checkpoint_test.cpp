@@ -1,16 +1,19 @@
 // Fault-tolerance tests: checkpoint codec round trips, kill/resume
 // bit-identical replay, NaN-poisoned trajectory recovery, checkpoint I/O
-// failure recovery, corrupt-checkpoint fallback, and the rollout watchdog.
+// failure recovery, corrupt-checkpoint fallback (torn, truncated, or
+// CRC-valid with an inflated count), and the rollout watchdog.
 #include "rl/checkpoint.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "common/fault.h"
+#include "common/io.h"
 #include "common/telemetry.h"
 #include "rl/trainer.h"
 
@@ -287,6 +290,68 @@ TEST(TrainerFault, CorruptNewestCheckpointFallsBackToOlder) {
     TrainStats resumed = ReinforceTrainer(&d, &policy, cfg).train();
     expect_bit_identical(resumed, ref);
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TrainerFault, CrcValidCheckpointWithInflatedCountFallsBackToOlder) {
+  Design d = small_design(96);
+  FaultInjector::global().reset();
+  std::string dir = fresh_dir("resume_inflated");
+  TrainStats ref;
+  std::size_t n_params = 0;
+  {
+    Policy policy(PolicyConfig{}, 2);
+    n_params = policy.parameters().size();
+    TrainConfig cfg = fast_config(d);
+    cfg.checkpoint_dir = dir;
+    ref = ReinforceTrainer(&d, &policy, cfg).train();
+  }
+  std::vector<std::string> paths;
+  ASSERT_TRUE(list_checkpoints(dir, paths).ok());
+  ASSERT_GE(paths.size(), 2u);
+
+  // Claim 2^62 parameters in the newest checkpoint and re-seal its CRC, so
+  // only the payload decoder stands between the count and an allocation.
+  // Header: magic[10], u32 version, u64 payload size, u32 CRC. Payload:
+  // seed u64, workers i32, next_iter i32, baseline f64, baseline_init u8,
+  // stall i32, rng_state u64, then the u64 parameter count.
+  constexpr std::size_t kHeader = 10 + 4 + 8 + 4;
+  constexpr std::size_t kCountAt = 8 + 4 + 4 + 8 + 1 + 4 + 8;
+  std::string file;
+  ASSERT_TRUE(read_file(paths[0], file).ok());
+  ASSERT_GT(file.size(), kHeader + kCountAt + 8);
+  std::string payload = file.substr(kHeader);
+  std::uint64_t count = 0;
+  std::memcpy(&count, payload.data() + kCountAt, sizeof(count));
+  ASSERT_EQ(count, n_params) << "payload layout moved";
+  count = std::uint64_t{1} << 62;
+  std::memcpy(payload.data() + kCountAt, &count, sizeof(count));
+  const std::uint32_t crc = crc32(payload);
+  file = file.substr(0, kHeader - sizeof(crc));
+  file.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  file += payload;
+  std::ofstream(paths[0], std::ios::binary | std::ios::trunc) << file;
+
+  TrainCheckpoint direct;
+  Status inflated = load_checkpoint(direct, paths[0]);
+  ASSERT_FALSE(inflated.ok()) << "inflated count must not load";
+  EXPECT_EQ(inflated.code(), StatusCode::kCorrupt) << inflated.to_string();
+
+  MetricsRegistry& reg = MetricsRegistry::global();
+  MetricsCounter& skipped = reg.counter("train.checkpoints_skipped");
+  MetricsCounter& resumes = reg.counter("train.resumes");
+  const std::uint64_t skipped_before = skipped.value();
+  const std::uint64_t resumes_before = resumes.value();
+  {
+    Policy policy(PolicyConfig{}, 999);
+    TrainConfig cfg = fast_config(d);
+    cfg.checkpoint_dir = dir;
+    cfg.resume = true;
+    TrainStats resumed = ReinforceTrainer(&d, &policy, cfg).train();
+    expect_bit_identical(resumed, ref);
+  }
+  EXPECT_EQ(skipped.value() - skipped_before, 1u);
+  EXPECT_EQ(resumes.value() - resumes_before, 1u);
   std::filesystem::remove_all(dir);
 }
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -24,6 +25,7 @@
 #endif
 
 #include "common/fault.h"
+#include "common/ipc.h"
 #include "common/telemetry.h"
 #include "designgen/blocks.h"
 #include "rl/audit.h"
@@ -170,6 +172,26 @@ TEST(RolloutWireCodec, RejectsVersionMismatchAndTrailingBytes) {
   std::string overlong = bytes + '\0';
   EXPECT_FALSE(decode_rollout_wire(overlong, out).ok())
       << "trailing bytes mean the stream is not what the encoder produced";
+}
+
+TEST(RolloutWireCodec, InflatedTensorLengthIsCorrupt) {
+  RolloutWire in;
+  in.grads = {{1.5f, -2.25f}};
+  std::string bytes;
+  encode_rollout_wire(in, bytes);
+  // The one tensor's u64 length, followed by its two values.
+  std::string tensor;
+  ipc_append_float_vec(tensor, in.grads[0]);
+  const std::size_t at = bytes.find(tensor);
+  ASSERT_NE(at, std::string::npos);
+  // 2^62 floats: the byte count wraps to 0 in a 64-bit size_t, so only a
+  // bound on the count itself stops the decoder sizing a vector from it.
+  const std::uint64_t inflated = std::uint64_t{1} << 62;
+  std::memcpy(bytes.data() + at, &inflated, sizeof(inflated));
+  RolloutWire out;
+  Status s = decode_rollout_wire(bytes, out);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kCorrupt) << s.to_string();
 }
 
 // ---------------------------------------------------------------------------
