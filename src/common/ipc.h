@@ -87,7 +87,7 @@ enum class FrameType : std::uint8_t {
   kResult = 2,     // the job's serialized result
   kError = 3,      // human-readable failure description from the child
   kTelemetry = 4,  // ObsDelta (common/telemetry_wire.h): telemetry delta +
-                   // trace events + postmortem-ring tail from a child
+                   // the trace events a child recorded since its last ship
 };
 
 struct Frame {

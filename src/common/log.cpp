@@ -7,7 +7,6 @@ namespace rlccd {
 
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::Warn};
-std::atomic<LogHook> g_hook{nullptr};
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -24,19 +23,14 @@ const char* level_name(LogLevel level) {
 void set_log_level(LogLevel level) { g_level.store(level); }
 LogLevel log_level() { return g_level.load(); }
 
-void set_log_hook(LogHook hook) { g_hook.store(hook); }
-
 void log_message(LogLevel level, const char* fmt, ...) {
-  LogHook hook = g_hook.load();
-  const bool to_stderr = level >= g_level.load();
-  if (!to_stderr && hook == nullptr) return;
+  if (level < g_level.load()) return;
   char buf[1024];
   va_list args;
   va_start(args, fmt);
   std::vsnprintf(buf, sizeof buf, fmt, args);
   va_end(args);
-  if (to_stderr) std::fprintf(stderr, "[%s] %s\n", level_name(level), buf);
-  if (hook != nullptr) hook(level, buf);
+  std::fprintf(stderr, "[%s] %s\n", level_name(level), buf);
 }
 
 }  // namespace rlccd

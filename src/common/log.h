@@ -11,13 +11,6 @@ enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
-// Optional tap on every formatted log line, *regardless of the stderr
-// level* — a worker can keep stderr at Warn while its postmortem ring
-// records Info/Debug lines too. Called on whichever thread logs; keep the
-// hook cheap and non-reentrant (it must not log). nullptr uninstalls.
-using LogHook = void (*)(LogLevel level, const char* line);
-void set_log_hook(LogHook hook);
-
 void log_message(LogLevel level, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 

@@ -1,82 +1,21 @@
-// Crash postmortems: a bounded in-memory ring of recent notable events
-// (span opens/closes, audit steps, log lines, phase markers) that a forked
-// worker keeps while running, plus the JSON report the supervising parent
-// writes when crash classification says the child died.
-//
-// The ring is process-global and off by default — enabling it costs one
-// relaxed atomic load at each feed site (span close, log line); the feed
-// itself takes a short mutex, so only low-rate event sources should note().
-// Each event carries a monotonically increasing sequence number so a child
-// can ship only the tail it has not shipped yet (EventRing::collect_since)
-// inside its periodic ObsDelta frames; the parent accumulates the tails per
-// worker and, on a crash, serializes the last events it saw into
-// postmortem-<job>-<attempt>.json next to the job's other artifacts.
+// Crash postmortems: the JSON report the serve daemon writes when a job
+// attempt dies without a result. Its events are the tail of the trace
+// events the child shipped before dying (common/trace.h): the spans it
+// closed and the instants it marked (attempt start, each progress step).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "common/trace.h"
 
 namespace rlccd {
 
-struct PostmortemEvent {
-  std::uint64_t seq = 0;  // 1-based, process-wide monotone
-  double t_sec = 0.0;     // steady-clock seconds
-  std::string kind;       // "log" | "audit" | "span_open" | "span_close" | ...
-  std::string text;
-};
-
-namespace postmortem_detail {
-// Runtime gate, read inline at every feed site.
-extern std::atomic<bool> g_ring_enabled;
-}  // namespace postmortem_detail
-
-// Bounded drop-oldest event ring. Thread-safe; a short mutex per note().
-class EventRing {
- public:
-  static EventRing& global();
-
-  [[nodiscard]] static bool enabled() {
-    return postmortem_detail::g_ring_enabled.load(std::memory_order_relaxed);
-  }
-
-  // Starts (or restarts) capture with room for `capacity` events; previously
-  // buffered events are dropped but sequence numbers keep increasing, so a
-  // collect_since cursor held across enable() never re-reads old events.
-  void enable(std::size_t capacity = kDefaultCapacity);
-  void disable();
-
-  // Appends one event (no-op while disabled — callers guard with enabled()
-  // to skip argument construction on the fast path).
-  void note(std::string_view kind, std::string_view text);
-
-  // Appends events with sequence > after_seq, oldest first, skipping any
-  // already lost to wrap-around; returns the newest sequence seen (pass it
-  // back as after_seq next time).
-  std::uint64_t collect_since(std::uint64_t after_seq,
-                              std::vector<PostmortemEvent>& out) const;
-
-  // All surviving events, oldest first.
-  [[nodiscard]] std::vector<PostmortemEvent> events() const;
-
-  static constexpr std::size_t kDefaultCapacity = 256;
-
- private:
-  EventRing() = default;
-  mutable std::mutex mutex_;
-  std::vector<PostmortemEvent> ring_;  // slot = (seq - 1) % capacity_
-  std::size_t capacity_ = kDefaultCapacity;
-  std::uint64_t next_seq_ = 1;
-};
-
 // The forensic record the parent writes when a worker dies without a
-// result: identity, the crash classification, and the last ring events the
-// child shipped before dying.
+// result: identity, the crash classification, and the last trace events
+// the child shipped before dying.
 struct PostmortemReport {
   std::string job;
   std::int32_t attempt = 0;
@@ -85,7 +24,7 @@ struct PostmortemReport {
   std::int32_t exit_code = 0;
   std::int32_t term_signal = 0;
   double wall_sec = 0.0;  // attempt wall-clock at classification
-  std::vector<PostmortemEvent> events;
+  std::vector<CollectedTraceEvent> events;  // oldest first
 
   [[nodiscard]] std::string to_json() const;
 };

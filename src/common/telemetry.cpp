@@ -8,7 +8,6 @@
 #include "common/contracts.h"
 #include "common/json_writer.h"
 #include "common/metric_names.h"
-#include "common/postmortem.h"
 #include "common/trace.h"
 
 namespace rlccd {
@@ -375,9 +374,6 @@ ScopedSpan::ScopedSpan(std::string_view name) : start_sec_(steady_seconds()) {
   ThreadSpanState& st = thread_spans();
   SpanNode& node = st.stack.back()->child(name);
   st.stack.push_back(&node);
-  // Postmortem-ring feed (off by default; one relaxed load when off). A
-  // crashed worker's last ring events show which span it died inside.
-  if (EventRing::enabled()) EventRing::global().note("span_open", name);
 }
 
 ScopedSpan::~ScopedSpan() {
@@ -387,10 +383,9 @@ ScopedSpan::~ScopedSpan() {
   node->count += 1;
   node->total_sec += elapsed;
 
-  // Flight-recorder hook: one Chrome-trace complete event per span close.
-  // Compiled out under RLCCD_NO_TRACE; one relaxed atomic load otherwise.
+  // Flight-recorder hook: one Chrome-trace complete event per span close,
+  // one relaxed atomic load while the recorder is off.
   RLCCD_TRACE_COMPLETE(node->name, start_sec_, elapsed);
-  if (EventRing::enabled()) EventRing::global().note("span_close", node->name);
 
   // Feed active capture scopes with the path relative to each scope's base.
   if (t_active_scope != nullptr) {

@@ -211,13 +211,6 @@ std::string ObsDelta::encode() const {
     ipc_append_pod(out, ev.dur_sec);
     ipc_append_pod(out, static_cast<std::int32_t>(ev.tid));
   }
-  ipc_append_pod(out, static_cast<std::uint32_t>(ring_events.size()));
-  for (const PostmortemEvent& ev : ring_events) {
-    ipc_append_pod(out, ev.seq);
-    ipc_append_pod(out, ev.t_sec);
-    ipc_append_string(out, ev.kind);
-    ipc_append_string(out, ev.text);
-  }
   return out;
 }
 
@@ -242,15 +235,6 @@ Status ObsDelta::decode(std::string_view bytes) {
     std::int32_t tid = 0;
     RLCCD_TRY(ipc_parse_pod(bytes, offset, tid, "trace event tid"));
     ev.tid = tid;
-  }
-  std::uint32_t n_ring = 0;  // seq, time, kind and text lengths at least
-  RLCCD_TRY(ipc_parse_count(bytes, offset, n_ring, 24, "ring event count"));
-  ring_events.resize(n_ring);
-  for (PostmortemEvent& ev : ring_events) {
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, ev.seq, "ring event seq"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, ev.t_sec, "ring event time"));
-    RLCCD_TRY(ipc_parse_string(bytes, offset, ev.kind, "ring event kind"));
-    RLCCD_TRY(ipc_parse_string(bytes, offset, ev.text, "ring event text"));
   }
   if (offset != bytes.size()) {
     return Status::corrupt("obs delta has %zu trailing bytes",

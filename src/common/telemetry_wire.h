@@ -9,8 +9,9 @@
 //     below carries it; there is exactly one byte layout for a snapshot.
 //
 //   * ObsDelta — the payload of a FrameType::kTelemetry frame: a compact
-//     telemetry *delta* since the child's previous ship, the trace events
-//     recorded since then, and the tail of the child's postmortem ring.
+//     telemetry *delta* since the child's previous ship and the trace
+//     events recorded since then (a serve daemon's crash postmortems are
+//     the tail of those events).
 //     Children ship one periodically (the heartbeat thread) and flush a
 //     final one before their result so nothing is lost on clean exit; a
 //     frame that never completes (SIGKILL mid-write) is simply never
@@ -30,7 +31,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/postmortem.h"
 #include "common/status.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
@@ -70,13 +70,13 @@ class TelemetryDeltaTracker {
 // -- ObsDelta frames ----------------------------------------------------------
 
 struct ObsDelta {
-  static constexpr std::uint8_t kVersion = 1;
+  // v2: one event list; v1 carried a second, postmortem-only list.
+  static constexpr std::uint8_t kVersion = 2;
 
   std::uint64_t seq = 0;        // per-child, monotone; gaps mean lost frames
   std::int32_t source_pid = 0;  // the child's pid (trace rows, postmortems)
   TelemetrySnapshot telemetry;
   std::vector<CollectedTraceEvent> trace_events;
-  std::vector<PostmortemEvent> ring_events;  // postmortem-ring tail
 
   [[nodiscard]] std::string encode() const;
   // Rejects unknown versions and truncated / overlong byte streams.

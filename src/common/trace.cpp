@@ -1,6 +1,7 @@
 #include "common/trace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -19,24 +20,13 @@ std::atomic<bool> g_trace_enabled{false};
 
 namespace {
 
+static_assert(sizeof(TraceEvent) == 64, "one cache line per event");
+
 double steady_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-// Single-producer ring: only the owning thread writes slots and bumps
-// `total` (release); the exporter reads `total` (acquire) and the slots
-// below it. A thread mid-record during export can tear at most the one
-// in-flight slot; the tools export after their work has joined.
-struct ThreadRing {
-  explicit ThreadRing(std::size_t capacity, std::uint64_t ring_epoch, int id)
-      : slots(capacity), epoch(ring_epoch), tid(id) {}
-  std::vector<TraceEvent> slots;
-  std::atomic<std::uint64_t> total{0};
-  std::uint64_t epoch;
-  int tid;
-};
 
 struct ForeignEvent {
   int pid;
@@ -44,13 +34,25 @@ struct ForeignEvent {
 };
 
 struct TraceState {
+  // Guards everything below. fork() copies this mutex in whatever state it
+  // is in, so a process forks only while no other thread records: the
+  // trainer forks rollout children from its main thread with no worker
+  // threads alive, and the serve daemon is single-threaded (the tests that
+  // run it on a thread keep the recorder off in their process).
   std::mutex mutex;
-  std::vector<std::shared_ptr<ThreadRing>> rings;
+  std::unique_ptr<TraceEvent[]> slots;  // slot of event s: s % capacity
+  std::size_t capacity = 0;
+  // Sequence numbers count events since process start and never restart.
+  std::uint64_t next_seq = 0;   // the next event's
+  std::uint64_t first_seq = 0;  // the current enable()'s first event's
+  std::uint64_t dropped = 0;
   std::vector<ForeignEvent> foreign;  // imported child-process events
-  std::size_t capacity = TraceRecorder::kDefaultCapacity;
-  std::atomic<std::uint64_t> epoch{0};
-  std::atomic<std::uint64_t> dropped{0};
   double t0_sec = 0.0;
+
+  [[nodiscard]] std::uint64_t buffered() const {
+    return std::min<std::uint64_t>(next_seq - first_seq, capacity);
+  }
+  [[nodiscard]] std::uint64_t oldest() const { return next_seq - buffered(); }
 };
 
 TraceState& state() {
@@ -58,35 +60,32 @@ TraceState& state() {
   return s;
 }
 
-// Finds (or lazily registers) the calling thread's ring for the current
-// enable() generation. Registration takes the recorder mutex once per
-// thread per generation; the record path itself is lock-free.
-ThreadRing* local_ring() {
-  thread_local std::shared_ptr<ThreadRing> t_ring;
-  TraceState& st = state();
-  const std::uint64_t epoch = st.epoch.load(std::memory_order_acquire);
-  if (t_ring == nullptr || t_ring->epoch != epoch) {
-    std::lock_guard<std::mutex> lock(st.mutex);
-    t_ring = std::make_shared<ThreadRing>(st.capacity, epoch,
-                                          static_cast<int>(st.rings.size()));
-    st.rings.push_back(t_ring);
-  }
-  return t_ring.get();
+// Process-wide small ids in first-record order: one export row per thread.
+int thread_id() {
+  static std::atomic<int> next{0};
+  thread_local const int id = next.fetch_add(1, std::memory_order_relaxed);
+  return id;
 }
 
 void record_event(std::string_view name, double start_sec, double dur_sec) {
-  ThreadRing* ring = local_ring();
-  const std::uint64_t n = ring->total.load(std::memory_order_relaxed);
-  TraceEvent& ev = ring->slots[n % ring->slots.size()];
-  const std::size_t len = std::min(name.size(), TraceEvent::kMaxName);
-  std::memcpy(ev.name, name.data(), len);
-  ev.name[len] = '\0';
-  ev.start_sec = start_sec;
-  ev.dur_sec = dur_sec;
-  ring->total.store(n + 1, std::memory_order_release);
-  if (n >= ring->slots.size()) {
-    // Drop-oldest: this write overwrote the oldest surviving event.
-    state().dropped.fetch_add(1, std::memory_order_relaxed);
+  const int tid = thread_id();
+  TraceState& st = state();
+  bool overwrote = false;
+  {
+    std::lock_guard<std::mutex> lock(st.mutex);
+    TraceEvent& ev = st.slots[st.next_seq % st.capacity];
+    const std::size_t len = std::min(name.size(), TraceEvent::kMaxName);
+    std::memcpy(ev.name, name.data(), len);
+    ev.name[len] = '\0';
+    ev.tid = tid;
+    ev.start_sec = start_sec;
+    ev.dur_sec = dur_sec;
+    // Drop-oldest: a full ring's write overwrote the oldest survivor.
+    overwrote = st.next_seq - st.first_seq >= st.capacity;
+    st.dropped += overwrote ? 1 : 0;
+    ++st.next_seq;
+  }
+  if (overwrote) {
     static MetricsCounter& ctr_dropped =
         MetricsRegistry::global().counter("trace.events_dropped");
     ctr_dropped.increment();
@@ -147,15 +146,13 @@ TraceRecorder& TraceRecorder::global() {
 void TraceRecorder::enable(std::size_t capacity) {
   TraceState& st = state();
   std::lock_guard<std::mutex> lock(st.mutex);
-  st.rings.clear();
-  st.foreign.clear();
   st.capacity = std::max<std::size_t>(capacity, 16);
-  st.dropped.store(0, std::memory_order_relaxed);
+  // Unwritten slots stay unwritten: pages are touched as events fill them.
+  st.slots = std::make_unique_for_overwrite<TraceEvent[]>(st.capacity);
+  st.first_seq = st.next_seq;
+  st.dropped = 0;
+  st.foreign.clear();
   st.t0_sec = steady_seconds();
-  // Release-publish the new generation before opening the runtime gate, so
-  // threads that see the gate also see the new capacity via local_ring()'s
-  // mutex.
-  st.epoch.fetch_add(1, std::memory_order_release);
   trace_detail::g_trace_enabled.store(true, std::memory_order_release);
 }
 
@@ -175,54 +172,32 @@ void TraceRecorder::record_instant(std::string_view name) {
 std::uint64_t TraceRecorder::buffered_events() const {
   TraceState& st = state();
   std::lock_guard<std::mutex> lock(st.mutex);
-  std::uint64_t n = 0;
-  for (const auto& ring : st.rings) {
-    n += std::min<std::uint64_t>(ring->total.load(std::memory_order_acquire),
-                                 ring->slots.size());
-  }
-  return n;
+  return st.buffered();
 }
 
 std::uint64_t TraceRecorder::dropped_events() const {
-  return state().dropped.load(std::memory_order_relaxed);
+  TraceState& st = state();
+  std::lock_guard<std::mutex> lock(st.mutex);
+  return st.dropped;
 }
 
 void TraceRecorder::collect_since(TraceCursor& cursor,
                                   std::vector<CollectedTraceEvent>& out) const {
   TraceState& st = state();
   std::lock_guard<std::mutex> lock(st.mutex);
-  const std::uint64_t epoch = st.epoch.load(std::memory_order_acquire);
-  if (cursor.epoch != epoch) {
-    cursor.epoch = epoch;
-    cursor.taken.clear();
+  for (std::uint64_t s = std::max(cursor.next, st.oldest()); s < st.next_seq;
+       ++s) {
+    const TraceEvent& ev = st.slots[s % st.capacity];
+    out.push_back(
+        CollectedTraceEvent{ev.name, ev.start_sec, ev.dur_sec, ev.tid});
   }
-  cursor.taken.resize(st.rings.size(), 0);
-  for (std::size_t i = 0; i < st.rings.size(); ++i) {
-    const ThreadRing& ring = *st.rings[i];
-    const std::uint64_t total = ring.total.load(std::memory_order_acquire);
-    const std::uint64_t cap = ring.slots.size();
-    std::uint64_t from = cursor.taken[i];
-    if (total > cap && from < total - cap) from = total - cap;  // wrapped away
-    for (std::uint64_t k = from; k < total; ++k) {
-      const TraceEvent& ev = ring.slots[k % cap];
-      // strnlen bounds the copy even if the producer tore this slot
-      // mid-write (a wrapped ring under concurrent recording).
-      out.push_back(CollectedTraceEvent{
-          std::string(ev.name, strnlen(ev.name, TraceEvent::kMaxName)),
-          ev.start_sec, ev.dur_sec, ring.tid});
-    }
-    cursor.taken[i] = total;
-  }
+  cursor.next = st.next_seq;
 }
 
 void TraceRecorder::sync_cursor(TraceCursor& cursor) const {
   TraceState& st = state();
   std::lock_guard<std::mutex> lock(st.mutex);
-  cursor.epoch = st.epoch.load(std::memory_order_acquire);
-  cursor.taken.resize(st.rings.size());
-  for (std::size_t i = 0; i < st.rings.size(); ++i) {
-    cursor.taken[i] = st.rings[i]->total.load(std::memory_order_acquire);
-  }
+  cursor.next = st.next_seq;
 }
 
 void TraceRecorder::import_events(
@@ -232,7 +207,7 @@ void TraceRecorder::import_events(
   for (const CollectedTraceEvent& ev : events) {
     if (st.foreign.size() >= kMaxForeignEvents) {
       const std::uint64_t over = events.size() - (&ev - events.data());
-      st.dropped.fetch_add(over, std::memory_order_relaxed);
+      st.dropped += over;
       MetricsRegistry::global().counter("trace.events_dropped").add(over);
       break;
     }
@@ -251,18 +226,12 @@ std::string TraceRecorder::to_chrome_json() const {
   std::lock_guard<std::mutex> lock(st.mutex);
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (const auto& ring : st.rings) {
-    const std::uint64_t total = ring->total.load(std::memory_order_acquire);
-    const std::uint64_t cap = ring->slots.size();
-    const std::uint64_t count = std::min(total, cap);
-    const std::uint64_t start = total - count;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const TraceEvent& ev = ring->slots[(start + i) % cap];
-      if (!first) out += ',';
-      first = false;
-      append_event_json(out, ev.name, ev.start_sec, ev.dur_sec, 1, ring->tid,
-                        st.t0_sec);
-    }
+  for (std::uint64_t s = st.oldest(); s < st.next_seq; ++s) {
+    const TraceEvent& ev = st.slots[s % st.capacity];
+    if (!first) out += ',';
+    first = false;
+    append_event_json(out, ev.name, ev.start_sec, ev.dur_sec, 1, ev.tid,
+                      st.t0_sec);
   }
   for (const ForeignEvent& fe : st.foreign) {
     if (!first) out += ',';

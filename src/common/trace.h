@@ -1,28 +1,24 @@
 // Flight recorder: a timeline trace of *individual* events, complementing
 // the aggregated span trees in telemetry.h. Aggregates answer "how much
 // total time went into sizing"; the trace answers "where did the wall-clock
-// go on this specific iteration" — it records every span open/close as one
+// go on this specific iteration" — it records every span close as one
 // Chrome-trace complete event ("ph":"X") plus explicit instant events
 // ("ph":"i") at interesting moments (checkpoint written, rollback,
-// trajectory poisoned), and exports the whole timeline as Chrome-trace JSON
-// that chrome://tracing and Perfetto load directly.
+// trajectory poisoned, a serve attempt's start), and exports the whole
+// timeline as Chrome-trace JSON that chrome://tracing and Perfetto load
+// directly.
 //
-// Design constraints, in order:
-//   * Zero overhead when compiled out: configure with -DRLCCD_TRACE=OFF and
-//     the RLCCD_TRACE_* macros expand to nothing — the ScopedSpan hot path
-//     is byte-identical to a build without this header.
-//   * Near-zero overhead when compiled in but not enabled (the default at
-//     runtime): one relaxed atomic load per span close.
-//   * Bounded memory when enabled: each thread records into a fixed-size
-//     ring buffer (single producer, no locks on the record path); when the
-//     ring wraps, the oldest events are overwritten and the registry
+// One process-wide ring of fixed-size events under one mutex:
+//   * Off by default: disabled, a span close costs one relaxed atomic load.
+//   * Memory fixed by enable(capacity): 64 bytes per slot, allocated
+//     without being written, so a run touches only the slots it fills. When
+//     the ring wraps, the oldest events are overwritten and the registry
 //     counter "trace.events_dropped" counts the loss. The newest events are
 //     the ones you want when a run misbehaves.
-//
-// Export walks every thread's ring under the recorder mutex. Recording
-// threads must be quiescent (joined, or between spans) for a loss-free
-// export; the tools export after their work completes. Thread rings outlive
-// their threads (shared ownership), so worker timelines survive the join.
+//   * Every event gets a process-wide sequence number. A TraceCursor is the
+//     next number to collect, so a forked child can ship exactly the events
+//     it recorded since its last ship; the crash postmortems of serve jobs
+//     are the tail of those shipped events.
 #pragma once
 
 #include <atomic>
@@ -34,26 +30,27 @@
 namespace rlccd {
 
 namespace trace_detail {
-// Runtime gate, read on every span close when tracing is compiled in.
-// Namespace-scope so the hook's fast path inlines into telemetry.cpp.
+// Runtime gate, read on every span close. Namespace-scope so the hook's
+// fast path inlines into telemetry.cpp.
 extern std::atomic<bool> g_trace_enabled;
 }  // namespace trace_detail
 
 struct TraceEvent {
   // Span names are copied inline (the aggregate tree nodes that own them
   // are cleared on batch merges, so pointers would dangle). Longer names
-  // are truncated; every current span name fits.
-  static constexpr std::size_t kMaxName = 47;
+  // are truncated; every current span and marker name fits.
+  static constexpr std::size_t kMaxName = 43;
   char name[kMaxName + 1];
+  std::int32_t tid;  // small per-process id of the recording thread
   double start_sec;  // steady-clock seconds
   double dur_sec;    // < 0: instant event
 };
 
-// A trace event lifted out of the rings (or received from a child process):
-// plain data with an explicit thread id, ready to ship over a pipe or
-// re-import into another process's recorder. Timestamps stay raw
-// steady-clock seconds — CLOCK_MONOTONIC is system-wide on Linux, so a
-// child's start_sec values are directly comparable to the parent's.
+// A trace event lifted out of the ring (or received from a child process):
+// plain data, ready to ship over a pipe or re-import into another process's
+// recorder. Timestamps stay raw steady-clock seconds — CLOCK_MONOTONIC is
+// system-wide on Linux, so a child's start_sec values are directly
+// comparable to the parent's.
 struct CollectedTraceEvent {
   std::string name;
   double start_sec = 0.0;
@@ -61,21 +58,19 @@ struct CollectedTraceEvent {
   int tid = 0;
 };
 
-// Incremental-collection cursor: remembers, per thread ring, how many
-// events were already collected. Bound to one enable() generation; after a
-// re-enable the cursor resets itself and collection starts over.
+// Incremental-collection cursor: the sequence number of the next event to
+// collect. Sequence numbers never restart, so a cursor held across a
+// re-enable skips the old generation's events instead of re-reading them.
 struct TraceCursor {
-  std::uint64_t epoch = 0;
-  std::vector<std::uint64_t> taken;
+  std::uint64_t next = 0;
 };
 
 class TraceRecorder {
  public:
   static TraceRecorder& global();
 
-  // Starts recording with `capacity` events per thread (rings are created
-  // lazily on each thread's first event). Re-enabling drops any previously
-  // buffered events.
+  // Starts recording into a fresh ring of `capacity` events (at least 16).
+  // Re-enabling drops any previously buffered events.
   void enable(std::size_t capacity = kDefaultCapacity);
   // Stops recording; buffered events remain exportable.
   void disable();
@@ -84,8 +79,8 @@ class TraceRecorder {
   }
 
   // Chrome-trace JSON ("traceEvents" array of X/i events, ts/dur in
-  // microseconds relative to enable()). Oldest surviving events first per
-  // thread.
+  // microseconds relative to enable()), oldest surviving event first, then
+  // the imported events of child processes.
   [[nodiscard]] std::string to_chrome_json() const;
   bool write_chrome_json(const std::string& path) const;
 
@@ -93,19 +88,17 @@ class TraceRecorder {
   [[nodiscard]] std::uint64_t buffered_events() const;
   [[nodiscard]] std::uint64_t dropped_events() const;
 
-  // Appends events recorded since `cursor` (oldest first per thread ring)
-  // to `out` and advances the cursor; events already lost to wrap-around
-  // between calls are skipped. Safe to call while other threads record —
-  // at worst the producing thread's in-flight slot reads torn (a garbled
-  // name, never out-of-bounds), which a forked worker's periodic shipping
-  // thread accepts for not having to stop the rollout.
+  // Appends the events recorded since `cursor`, oldest first, to `out` and
+  // advances the cursor. A cursor behind a wrapped ring resumes at the
+  // oldest survivor (the overwritten events were counted as dropped). Safe
+  // to call while other threads record.
   void collect_since(TraceCursor& cursor,
                      std::vector<CollectedTraceEvent>& out) const;
 
   // Positions `cursor` at "now" without collecting anything: the next
   // collect_since returns only events recorded after this call. A forked
   // child primes its cursor this way so events inherited from the parent's
-  // rings are never re-shipped.
+  // ring are never re-shipped.
   void sync_cursor(TraceCursor& cursor) const;
 
   // Buffers events received from another process (a forked worker), tagged
@@ -125,7 +118,7 @@ class TraceRecorder {
                               double dur_sec);
   static void record_instant(std::string_view name);
 
-  static constexpr std::size_t kDefaultCapacity = 1 << 16;  // 64Ki ≈ 4 MB
+  static constexpr std::size_t kDefaultCapacity = 1 << 16;  // 64Ki = 4 MiB
 
  private:
   TraceRecorder() = default;
@@ -143,13 +136,7 @@ void append_chrome_process_name(std::string& out, int pid,
 
 // RLCCD_TRACE_COMPLETE(name, start_sec, dur_sec) — one closed span.
 // RLCCD_TRACE_INSTANT(name)                      — a point-in-time marker.
-//
-// Compiled out entirely (expands to a void no-op, no argument evaluation)
-// when the build defines RLCCD_NO_TRACE (cmake -DRLCCD_TRACE=OFF).
-#ifdef RLCCD_NO_TRACE
-#define RLCCD_TRACE_COMPLETE(name, start_sec, dur_sec) ((void)0)
-#define RLCCD_TRACE_INSTANT(name) ((void)0)
-#else
+// Neither evaluates its arguments while the recorder is disabled.
 #define RLCCD_TRACE_COMPLETE(name, start_sec, dur_sec)                   \
   do {                                                                   \
     if (::rlccd::TraceRecorder::enabled()) {                             \
@@ -163,6 +150,5 @@ void append_chrome_process_name(std::string& out, int pid,
       ::rlccd::TraceRecorder::record_instant(name);                      \
     }                                                                    \
   } while (0)
-#endif
 
 }  // namespace rlccd

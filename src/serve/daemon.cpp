@@ -41,6 +41,11 @@ namespace {
 // Jitter seed of the retry backoff (common/child.h), keyed by job id.
 constexpr std::uint64_t kRetrySeed = 1;
 
+// Trace events the daemon keeps per attempt (newest win), and how many of
+// the newest a crash postmortem lists.
+constexpr std::size_t kMaxAttemptEvents = 1u << 16;
+constexpr std::size_t kPostmortemTail = 512;
+
 // ===========================================================================
 // Child side: one forked process per job attempt.
 // ===========================================================================
@@ -65,9 +70,7 @@ class ChildProgress : public ProgressObserver {
     JobProgress p;
     p.phase.assign(event.phase.data(), event.phase.size());
     p.step.assign(event.step.data(), event.step.size());
-    if (EventRing::enabled()) {
-      EventRing::global().note("progress", p.phase + "/" + p.step);
-    }
+    RLCCD_TRACE_INSTANT(p.phase + "/" + p.step);
     p.index = event.index;
     p.seconds = event.seconds;
     for (const ProgressMetric& m : event.metrics) {
@@ -103,7 +106,6 @@ class ChildAudit : public AuditSink {
 
  private:
   void line(const std::string& json) {
-    if (EventRing::enabled()) EventRing::global().note("audit", json);
     (void)pipe_->send(static_cast<FrameType>(MsgType::kChildAudit), json);
   }
   ChildPipe* pipe_;
@@ -133,39 +135,34 @@ std::string run_job_child(const Job& job, const ServeConfig& cfg,
 
   if (crash && crash_after <= 0) _exit(3);  // crash before any work
 
-  // Child-side observability plane: a fresh trace-event ring (the parent's
-  // buffers, inherited over fork, are its own story), a postmortem event
-  // ring fed by every log line / progress step / audit record, and a
-  // telemetry tracker baselined *now* so registry values inherited from the
-  // parent are never re-shipped. The heartbeat thread ships an ObsDelta
-  // alongside each heartbeat; a final flush precedes the result frame.
+  // Child-side observability plane: a fresh trace ring (the parent's
+  // buffer, inherited over fork, is its own story) whose span closes and
+  // instants (attempt start/done, each progress step) feed both the
+  // stitched job trace and a crash postmortem, and a telemetry tracker
+  // baselined *now* so registry values inherited from the parent are never
+  // re-shipped. The heartbeat thread ships an ObsDelta alongside each
+  // heartbeat; a final flush precedes the result frame. Audit lines reach
+  // the daemon as kChildAudit frames and log lines on the shared stderr.
   TraceRecorder::global().enable(4096);
-  EventRing::global().enable();
-  set_log_hook(+[](LogLevel, const char* l) {
-    EventRing::global().note("log", l);
-  });
   TelemetryDeltaTracker obs_tracker;
   TraceCursor obs_trace_cursor;
-  std::uint64_t obs_ring_seq = 0;
   std::uint64_t obs_seq = 0;
   auto ship_obs = [&] {
     // The Heartbeat runs this on one thread at a time (its final flush
-    // after joining its thread), so the cursors need no lock.
+    // after joining its thread), so the cursor needs no lock.
     ObsDelta d;
     d.seq = ++obs_seq;
     d.source_pid = static_cast<std::int32_t>(::getpid());
     d.telemetry = obs_tracker.take();
     TraceRecorder::global().collect_since(obs_trace_cursor, d.trace_events);
-    obs_ring_seq = EventRing::global().collect_since(obs_ring_seq,
-                                                     d.ring_events);
     if (d.telemetry.counters.empty() && d.telemetry.gauges.empty() &&
         d.telemetry.histograms.empty() && d.telemetry.spans.children.empty() &&
-        d.trace_events.empty() && d.ring_events.empty()) {
+        d.trace_events.empty()) {
       return;  // nothing new since the last ship
     }
     (void)pipe.send(FrameType::kTelemetry, d.encode());
   };
-  EventRing::global().note("phase", "attempt start");
+  RLCCD_TRACE_INSTANT("attempt start");
 
   // Destroyed on return, so its final flush precedes the result frame:
   // nothing recorded is lost on a clean exit.
@@ -216,7 +213,7 @@ std::string run_job_child(const Job& job, const ServeConfig& cfg,
                   job.spec.iters, stats.best_tns);
     result.detail = buf;
   }
-  EventRing::global().note("phase", "attempt done");
+  RLCCD_TRACE_INSTANT("attempt done");
   std::string bytes;
   encode_job_result(bytes, result);
   return bytes;
@@ -702,9 +699,9 @@ struct DaemonLoop {
         }
         case static_cast<std::uint8_t>(FrameType::kTelemetry): {
           // An ObsDelta from the child: merge the telemetry delta into the
-          // global registry and accumulate the trace/ring events on the
-          // attempt. A frame that fails to decode is dropped whole — a torn
-          // or corrupt delta can never half-apply.
+          // global registry and accumulate the trace events on the attempt.
+          // A frame that fails to decode is dropped whole — a torn or
+          // corrupt delta can never half-apply.
           ObsDelta d;
           if (!d.decode(frame.payload).ok()) {
             ctr_obs_errors.increment();
@@ -715,23 +712,13 @@ struct DaemonLoop {
           if (!job->attempt_obs.empty()) {
             AttemptObs& obs = job->attempt_obs.back();
             // Bounded accumulation: a runaway child must not balloon the
-            // daemon. Oldest trace events win (the stitched timeline reads
-            // left to right); newest ring events win (a postmortem wants
-            // the *last* things the child did).
-            constexpr std::size_t kMaxTraceEvents = 1u << 16;
-            constexpr std::size_t kMaxRingEvents = 512;
+            // daemon. The newest events win, since a postmortem wants the
+            // *last* things the child did.
             for (auto& ev : d.trace_events) {
-              if (obs.trace_events.size() >= kMaxTraceEvents) break;
               obs.trace_events.push_back(std::move(ev));
-            }
-            for (auto& ev : d.ring_events) {
-              obs.ring_events.push_back(std::move(ev));
-            }
-            if (obs.ring_events.size() > kMaxRingEvents) {
-              obs.ring_events.erase(
-                  obs.ring_events.begin(),
-                  obs.ring_events.end() -
-                      static_cast<std::ptrdiff_t>(kMaxRingEvents));
+              if (obs.trace_events.size() > kMaxAttemptEvents) {
+                obs.trace_events.pop_front();
+              }
             }
           }
           return true;
@@ -797,7 +784,7 @@ struct DaemonLoop {
     job->kills += killed ? 1 : 0;
     if (!job->attempt_obs.empty()) job->attempt_obs.back().outcome = desc;
     // Every attempt that dies without a result gets a forensic record: the
-    // crash classification plus the last ring events the child shipped.
+    // crash classification plus the last trace events the child shipped.
     write_postmortem(job, cls, now - started);
 
     if (job->cancel_requested) {
@@ -858,7 +845,11 @@ struct DaemonLoop {
     rep.exit_code = cls.exit_code;
     rep.term_signal = cls.term_signal;
     rep.wall_sec = wall_sec;
-    rep.events = obs.ring_events;
+    const std::size_t tail =
+        std::min(obs.trace_events.size(), kPostmortemTail);
+    rep.events.assign(obs.trace_events.end() -
+                          static_cast<std::ptrdiff_t>(tail),
+                      obs.trace_events.end());
     const std::string path = job->workspace + "/postmortem-" +
                              std::to_string(job->id) + "-" +
                              std::to_string(obs.attempt) + ".json";
@@ -870,7 +861,7 @@ struct DaemonLoop {
     }
     job->postmortem_path = path;
     ctr_postmortems.increment();
-    RLCCD_LOG_INFO("serve: job %llu attempt %d postmortem -> %s (%zu ring "
+    RLCCD_LOG_INFO("serve: job %llu attempt %d postmortem -> %s (%zu trace "
                    "events)",
                    static_cast<unsigned long long>(job->id), obs.attempt,
                    path.c_str(), rep.events.size());

@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "common/postmortem.h"
 #include "common/trace.h"
 #include "serve/protocol.h"
 #include "serve/session.h"
@@ -47,18 +46,16 @@ struct QueueConfig {
 };
 
 // Observability accumulated for one job attempt from the worker child's
-// periodic ObsDelta frames: its trace events (stitched into the per-job
-// Chrome trace on one pid row per attempt) and the tail of its postmortem
-// event ring (serialized into postmortem-<job>-<attempt>.json if the
-// attempt dies without a result).
+// periodic ObsDelta frames: its newest trace events, stitched into the
+// per-job Chrome trace on one pid row per attempt, whose tail becomes
+// postmortem-<job>-<attempt>.json if the attempt dies without a result.
 struct AttemptObs {
   int attempt = 0;  // 1-based, matches Job::attempts at spawn
   int pid = 0;
   double started_sec = 0.0;  // mono clock at fork
   double ended_sec = 0.0;    // mono clock at finalize; 0 while running
   std::string outcome;       // "done" / failure description once finished
-  std::vector<CollectedTraceEvent> trace_events;
-  std::vector<PostmortemEvent> ring_events;
+  std::deque<CollectedTraceEvent> trace_events;  // oldest first
 };
 
 // One admitted job. Plain data owned by the JobQueue; the daemon reaches in

@@ -26,6 +26,7 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/telemetry_wire.h"
+#include "helpers/temp_path.h"
 #include "nn/serialize.h"
 #include "rl/checkpoint.h"
 #include "rl/isolation/wire.h"
@@ -151,11 +152,7 @@ void sweep(const char* name, const std::vector<std::string>& seeds,
   ::testing::Test::RecordProperty(std::string(name) + "_ok", ok);
 }
 
-// Per-process names, so two test runs on one host never share a file.
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" +
-         std::to_string(::getpid()) + "_" + name;
-}
+using testing::temp_path;
 
 // The file a file-backed decoder reads each mutant from, rewritten in place:
 // a truncating open per mutant makes the file system flush on close, which
@@ -250,8 +247,9 @@ TEST(DecoderFuzz, ObsDelta) {
   flow.count = 2;
   flow.total_sec = 1.5;
   flow.child("sta").count = 8;
-  rich.trace_events = {{"rollout", 1.0, 0.5, 3}, {"mark", 2.0, -1.0, 0}};
-  rich.ring_events = {{9, 1.25, "log", "warn: something"}};
+  rich.trace_events = {{"rollout", 1.0, 0.5, 3},
+                       {"mark", 2.0, -1.0, 0},
+                       {"train/iteration", 2.5, -1.0, 1}};
 
   ObsDelta value;
   sweep("obs_delta", {rich.encode(), ObsDelta{}.encode()},

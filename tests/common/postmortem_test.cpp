@@ -1,105 +1,20 @@
-// Postmortem event ring and crash report: bounded drop-oldest capture,
-// collect_since cursor semantics across wrap-around and re-enable, and the
-// JSON report the parent writes when a worker dies.
+// The crash postmortem report: the JSON the serve daemon writes when a job
+// attempt dies, listing the tail of the trace events the child shipped.
 #include "common/postmortem.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
-#include <vector>
 
 #include "common/io.h"
 #include "common/json.h"
+#include "helpers/temp_path.h"
 
 namespace rlccd {
 namespace {
 
-class PostmortemTest : public ::testing::Test {
- protected:
-  // The ring is process-global; every test starts from a fresh capture
-  // window and leaves the gate off for whoever runs next.
-  void SetUp() override { EventRing::global().disable(); }
-  void TearDown() override { EventRing::global().disable(); }
-};
-
-TEST_F(PostmortemTest, DisabledRingRecordsNothing) {
-  EventRing& ring = EventRing::global();
-  ASSERT_FALSE(EventRing::enabled());
-  ring.note("log", "dropped on the floor");
-  std::vector<PostmortemEvent> out;
-  ring.collect_since(0, out);
-  // Events from earlier enables may linger, but this note cannot appear.
-  for (const PostmortemEvent& ev : out) {
-    EXPECT_NE(ev.text, "dropped on the floor");
-  }
-}
-
-TEST_F(PostmortemTest, RingKeepsNewestAndDropsOldest) {
-  EventRing& ring = EventRing::global();
-  ring.enable(/*capacity=*/8);
-  for (int i = 0; i < 20; ++i) {
-    ring.note("phase", "event " + std::to_string(i));
-  }
-  const std::vector<PostmortemEvent> events = ring.events();
-  ASSERT_EQ(events.size(), 8u) << "bounded at capacity";
-  EXPECT_EQ(events.front().text, "event 12") << "oldest survivors first";
-  EXPECT_EQ(events.back().text, "event 19");
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, events[i - 1].seq + 1) << "gap-free tail";
-  }
-}
-
-TEST_F(PostmortemTest, CollectSinceCursorShipsOnlyTheNewTail) {
-  EventRing& ring = EventRing::global();
-  ring.enable(/*capacity=*/16);
-  // Sequence numbers are monotone across enables, so a fresh capture window
-  // still starts mid-stream: drain once to establish the baseline cursor.
-  std::vector<PostmortemEvent> drain;
-  std::uint64_t cursor = ring.collect_since(0, drain);
-  ring.note("a", "1");
-  ring.note("a", "2");
-
-  std::vector<PostmortemEvent> first;
-  cursor = ring.collect_since(cursor, first);
-  ASSERT_EQ(first.size(), 2u);
-
-  std::vector<PostmortemEvent> nothing;
-  cursor = ring.collect_since(cursor, nothing);
-  EXPECT_TRUE(nothing.empty()) << "cursor advanced past shipped events";
-
-  ring.note("a", "3");
-  std::vector<PostmortemEvent> tail;
-  cursor = ring.collect_since(cursor, tail);
-  ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0].text, "3");
-
-  // A cursor far behind a wrapped ring resynchronizes to the survivors
-  // instead of re-reading overwritten slots.
-  for (int i = 0; i < 40; ++i) ring.note("b", std::to_string(i));
-  std::vector<PostmortemEvent> wrapped;
-  ring.collect_since(cursor, wrapped);
-  EXPECT_EQ(wrapped.size(), 16u);
-  EXPECT_EQ(wrapped.back().text, "39");
-}
-
-TEST_F(PostmortemTest, ReenableDropsBufferButKeepsSequenceMonotone) {
-  EventRing& ring = EventRing::global();
-  ring.enable(8);
-  ring.note("x", "before");
-  std::vector<PostmortemEvent> first;
-  const std::uint64_t cursor = ring.collect_since(0, first);
-  ASSERT_FALSE(first.empty());
-
-  ring.enable(8);  // restart capture
-  ring.note("x", "after");
-  std::vector<PostmortemEvent> out;
-  ring.collect_since(cursor, out);
-  ASSERT_EQ(out.size(), 1u) << "a held cursor never re-reads old events";
-  EXPECT_EQ(out[0].text, "after");
-  EXPECT_GT(out[0].seq, cursor);
-}
-
-TEST_F(PostmortemTest, ReportJsonRoundTripsThroughWriter) {
+TEST(PostmortemTest, ReportJsonRoundTripsThroughWriter) {
   PostmortemReport rep;
   rep.job = "7";
   rep.attempt = 2;
@@ -107,14 +22,14 @@ TEST_F(PostmortemTest, ReportJsonRoundTripsThroughWriter) {
   rep.classification = "signal";
   rep.term_signal = 9;
   rep.wall_sec = 1.5;
-  rep.events.push_back({3, 0.25, "log", "warn: \"quoted\"\nline"});
-  rep.events.push_back({4, 0.5, "phase", "attempt start"});
+  rep.events.push_back({"train/\"quoted\"\nstep", 0.25, 0.125, 3});
+  rep.events.push_back({"attempt start", 0.5, -1.0, 0});
 
-  const std::string path =
-      ::testing::TempDir() + "postmortem_test_report.json";
+  const std::string path = testing::temp_path("postmortem_test_report.json");
   ASSERT_TRUE(write_postmortem_json(path, rep).ok());
   std::string text;
   ASSERT_TRUE(read_file(path, text).ok());
+  std::remove(path.c_str());
 
   JsonValue doc;
   ASSERT_TRUE(JsonValue::parse(text, doc).ok()) << text;
@@ -127,10 +42,15 @@ TEST_F(PostmortemTest, ReportJsonRoundTripsThroughWriter) {
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
   ASSERT_EQ(events->array_items().size(), 2u);
-  const JsonValue& ev = events->array_items()[0];
-  EXPECT_EQ(ev.string_or("kind", ""), "log");
-  EXPECT_EQ(ev.string_or("text", ""), "warn: \"quoted\"\nline")
+  const JsonValue& span = events->array_items()[0];
+  EXPECT_EQ(span.string_or("name", ""), "train/\"quoted\"\nstep")
       << "escaping survives the round trip";
+  EXPECT_EQ(span.number_or("start_sec", 0.0), 0.25);
+  EXPECT_EQ(span.number_or("dur_sec", 0.0), 0.125);
+  EXPECT_EQ(span.number_or("tid", 0.0), 3.0);
+  const JsonValue& instant = events->array_items()[1];
+  EXPECT_EQ(instant.string_or("name", ""), "attempt start");
+  EXPECT_LT(instant.number_or("dur_sec", 0.0), 0.0) << "an instant";
 }
 
 }  // namespace

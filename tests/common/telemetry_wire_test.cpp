@@ -69,7 +69,6 @@ TEST(TelemetryWire, ObsDeltaRoundTripAndByteGranularTruncation) {
   d.telemetry = rich_snapshot();
   d.trace_events.push_back({"rollout", 1.0, 0.5, 3});
   d.trace_events.push_back({"mark", 2.0, -1.0, 0});
-  d.ring_events.push_back({9, 1.25, "log", "warn: something"});
 
   const std::string bytes = d.encode();
   ObsDelta back;
@@ -80,8 +79,7 @@ TEST(TelemetryWire, ObsDeltaRoundTripAndByteGranularTruncation) {
   ASSERT_EQ(back.trace_events.size(), 2u);
   EXPECT_EQ(back.trace_events[0].name, "rollout");
   EXPECT_LT(back.trace_events[1].dur_sec, 0.0);
-  ASSERT_EQ(back.ring_events.size(), 1u);
-  EXPECT_EQ(back.ring_events[0].text, "warn: something");
+  EXPECT_EQ(back.trace_events[0].tid, 3);
 
   // A torn frame — any strict prefix — must be rejected, never half-applied:
   // this is what keeps a SIGKILL mid-write from corrupting the parent.
@@ -92,11 +90,15 @@ TEST(TelemetryWire, ObsDeltaRoundTripAndByteGranularTruncation) {
   // Overlong frames are rejected too.
   ObsDelta overlong;
   EXPECT_FALSE(overlong.decode(bytes + "x").ok());
-  // Unknown versions are rejected up front.
-  std::string wrong_version = bytes;
-  wrong_version[0] = static_cast<char>(ObsDelta::kVersion + 1);
-  ObsDelta versioned;
-  EXPECT_FALSE(versioned.decode(wrong_version).ok());
+  // Every other version, v1 included, is rejected up front.
+  EXPECT_EQ(ObsDelta::kVersion, 2);
+  for (int v = 0; v < 256; ++v) {
+    if (v == ObsDelta::kVersion) continue;
+    std::string wrong_version = bytes;
+    wrong_version[0] = static_cast<char>(v);
+    ObsDelta versioned;
+    EXPECT_FALSE(versioned.decode(wrong_version).ok()) << "version " << v;
+  }
 }
 
 TEST(TelemetryWire, SnapshotDeltaSubtractsAndMergeRestores) {

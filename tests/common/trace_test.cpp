@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/json.h"
 #include "common/telemetry.h"
@@ -34,11 +37,6 @@ const JsonValue* find_event(const JsonValue& doc, std::string_view name) {
   }
   return nullptr;
 }
-
-// Everything below the gate exercises the record path, which only exists
-// when tracing is compiled in; the RLCCD_TRACE=OFF build keeps the
-// always-valid behaviors (empty export, no-op macros) tested at the bottom.
-#ifndef RLCCD_NO_TRACE
 
 TEST_F(TraceTest, ChromeJsonIsStructurallyValid) {
   TraceRecorder& rec = TraceRecorder::global();
@@ -116,8 +114,6 @@ TEST_F(TraceTest, EnableClampsTinyCapacities) {
   EXPECT_EQ(rec.dropped_events(), 0u);
 }
 
-#endif  // RLCCD_NO_TRACE
-
 TEST_F(TraceTest, DisabledRecorderBuffersNothing) {
   TraceRecorder& rec = TraceRecorder::global();
   rec.enable();
@@ -133,8 +129,6 @@ TEST_F(TraceTest, DisabledRecorderBuffersNothing) {
   JsonValue doc = parse_trace(rec);
   EXPECT_EQ(find_event(doc, "while_disabled"), nullptr);
 }
-
-#ifndef RLCCD_NO_TRACE
 
 TEST_F(TraceTest, ReEnableDropsPreviousBuffer) {
   TraceRecorder& rec = TraceRecorder::global();
@@ -185,9 +179,6 @@ TEST_F(TraceTest, WorkerThreadEventsSurviveJoin) {
       << "each thread exports its own timeline row";
 }
 
-#endif  // RLCCD_NO_TRACE
-
-#ifndef RLCCD_NO_TRACE
 TEST_F(TraceTest, MacrosDoNotEvaluateArgumentsWhenDisabled) {
   // The runtime gate must short-circuit before any work happens; building
   // the name below would be visible as a buffered event if it did not.
@@ -204,20 +195,111 @@ TEST_F(TraceTest, MacrosDoNotEvaluateArgumentsWhenDisabled) {
   EXPECT_EQ(evaluations, 0) << "arguments sit behind the enabled() branch";
   EXPECT_EQ(TraceRecorder::global().buffered_events(), buffered_before);
 }
-#else
-TEST_F(TraceTest, MacrosCompileOutEntirely) {
-  // Under RLCCD_NO_TRACE the macros must not evaluate their arguments.
-  int evaluations = 0;
-  auto name = [&evaluations]() -> std::string {
-    ++evaluations;
-    return "never";
-  };
-  (void)name;
-  RLCCD_TRACE_INSTANT(name());
-  RLCCD_TRACE_COMPLETE(name(), 0.0, 1.0);
-  EXPECT_EQ(evaluations, 0);
+
+// -- collection cursors -------------------------------------------------------
+
+using Names = std::vector<std::string>;
+
+Names collect_names(TraceCursor& cursor) {
+  std::vector<CollectedTraceEvent> events;
+  TraceRecorder::global().collect_since(cursor, events);
+  Names names;
+  for (const CollectedTraceEvent& ev : events) names.push_back(ev.name);
+  return names;
 }
-#endif
+
+TEST_F(TraceTest, CursorShipsOnlyEventsSinceItsLastCollect) {
+  TraceRecorder::global().enable(64);
+  TraceCursor cursor;
+  RLCCD_TRACE_INSTANT("a");
+  RLCCD_TRACE_INSTANT("b");
+  EXPECT_EQ(collect_names(cursor), (Names{"a", "b"}));
+  EXPECT_EQ(collect_names(cursor), Names{}) << "nothing new since";
+  RLCCD_TRACE_INSTANT("c");
+  EXPECT_EQ(collect_names(cursor), Names{"c"});
+}
+
+TEST_F(TraceTest, CursorBehindAWrappedRingResumesAtOldestSurvivor) {
+  TraceRecorder& rec = TraceRecorder::global();
+  MetricsCounter& dropped_counter =
+      MetricsRegistry::global().counter("trace.events_dropped");
+  const std::uint64_t counter_before = dropped_counter.value();
+  rec.enable(16);
+  TraceCursor cursor;
+  RLCCD_TRACE_INSTANT("shipped");
+  ASSERT_EQ(collect_names(cursor), Names{"shipped"});
+
+  for (int i = 0; i < 40; ++i) RLCCD_TRACE_INSTANT(std::to_string(i));
+  Names tail;
+  for (int i = 24; i < 40; ++i) tail.push_back(std::to_string(i));
+  EXPECT_EQ(collect_names(cursor), tail)
+      << "the 16 survivors, oldest first and gap-free";
+  EXPECT_EQ(rec.dropped_events(), 25u);
+  EXPECT_EQ(dropped_counter.value() - counter_before, 25u);
+  EXPECT_EQ(collect_names(cursor), Names{});
+}
+
+TEST_F(TraceTest, ReEnableResetsAHeldCursor) {
+  TraceRecorder& rec = TraceRecorder::global();
+  rec.enable(64);
+  TraceCursor cursor;
+  RLCCD_TRACE_INSTANT("old_collected");
+  ASSERT_EQ(collect_names(cursor), Names{"old_collected"});
+  RLCCD_TRACE_INSTANT("old_uncollected");
+
+  rec.enable(64);
+  RLCCD_TRACE_INSTANT("new");
+  EXPECT_EQ(collect_names(cursor), Names{"new"})
+      << "a held cursor never re-reads the old generation";
+}
+
+TEST_F(TraceTest, SyncCursorSkipsEverythingRecordedBeforeIt) {
+  TraceRecorder& rec = TraceRecorder::global();
+  rec.enable(64);
+  for (int i = 0; i < 5; ++i) RLCCD_TRACE_INSTANT("inherited");
+  // A forked rollout child primes its cursor this way, so the parent's
+  // events it inherited are never shipped back.
+  TraceCursor cursor;
+  rec.sync_cursor(cursor);
+  RLCCD_TRACE_INSTANT("after_fork");
+  EXPECT_EQ(collect_names(cursor), Names{"after_fork"});
+}
+
+// Four threads record while a fifth collects (a forked worker's heartbeat
+// thread shipping while its rollout runs). The ring is large enough not to
+// wrap, so every event must arrive exactly once.
+TEST_F(TraceTest, ConcurrentCollectShipsEveryEventExactlyOnce) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  TraceRecorder::global().enable(1 << 14);
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kThreads; ++t) {
+    producers.emplace_back([t, &running] {
+      for (int i = 0; i < kPerThread; ++i) {
+        RLCCD_TRACE_INSTANT(std::to_string(t) + "_" + std::to_string(i));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  TraceCursor cursor;
+  std::vector<CollectedTraceEvent> shipped;
+  std::thread collector([&] {
+    while (running.load() > 0) {
+      TraceRecorder::global().collect_since(cursor, shipped);
+      std::this_thread::yield();
+    }
+    TraceRecorder::global().collect_since(cursor, shipped);
+  });
+  for (std::thread& p : producers) p.join();
+  collector.join();
+
+  EXPECT_EQ(TraceRecorder::global().dropped_events(), 0u);
+  ASSERT_EQ(shipped.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  std::set<std::string> names;
+  for (const CollectedTraceEvent& ev : shipped) names.insert(ev.name);
+  EXPECT_EQ(names.size(), shipped.size()) << "no event shipped twice";
+}
 
 }  // namespace
 }  // namespace rlccd

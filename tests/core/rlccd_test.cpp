@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "helpers/temp_path.h"
+
 namespace rlccd {
 namespace {
 
@@ -48,7 +50,7 @@ TEST(RlCcd, TransferLearningLoadsPretrainedGnn) {
   Design d = small_design(125);
   RlCcdConfig cfg = fast_config(d);
   RlCcd teacher(&d, cfg);
-  std::string path = std::string(::testing::TempDir()) + "/epgnn.bin";
+  std::string path = testing::temp_path("epgnn.bin");
   ASSERT_TRUE(teacher.save_gnn(path).ok());
 
   RlCcdConfig transfer_cfg = cfg;

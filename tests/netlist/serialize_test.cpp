@@ -7,6 +7,7 @@
 #include "common/fault.h"
 #include "designgen/generator.h"
 #include "helpers/test_circuits.h"
+#include "helpers/temp_path.h"
 #include "sta/sta.h"
 
 namespace rlccd {
@@ -94,7 +95,7 @@ TEST(NetlistSerialize, DiagnosesUnknownLibCellWithLineNumber) {
 
 TEST(NetlistSerialize, FileRoundTrip) {
   Pipeline p;
-  std::string path = std::string(::testing::TempDir()) + "/netlist.txt";
+  std::string path = testing::temp_path("netlist.txt");
   ASSERT_TRUE(write_netlist_file(*p.c.nl, path).ok());
   std::unique_ptr<Netlist> loaded;
   ASSERT_TRUE(read_netlist_file(*p.c.lib, path, loaded).ok());
@@ -110,7 +111,7 @@ TEST(NetlistSerialize, InjectedWriteFaultReturnsIoError) {
   Pipeline p;
   FaultInjector::global().reset();
   FaultInjector::global().arm({"netlist_save_io", 1, 1, 0.0});
-  std::string path = std::string(::testing::TempDir()) + "/fault_netlist.txt";
+  std::string path = testing::temp_path("fault_netlist.txt");
   Status s = write_netlist_file(*p.c.nl, path);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIoError);

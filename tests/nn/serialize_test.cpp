@@ -5,14 +5,13 @@
 #include <cstdio>
 
 #include "common/fault.h"
+#include "helpers/temp_path.h"
 #include "nn/modules.h"
 
 namespace rlccd {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testing::temp_path;
 
 TEST(Serialize, RoundTripPreservesValues) {
   Rng rng(7);

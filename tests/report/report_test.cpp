@@ -10,6 +10,7 @@
 
 #include "common/json.h"
 #include "common/telemetry.h"
+#include "helpers/temp_path.h"
 #include "rl/audit.h"
 
 namespace rlccd {
@@ -135,8 +136,7 @@ TEST(ReportAudit, StreamTruncatedMidRecordIsAnError) {
 }
 
 TEST(ReportAudit, LoadRunSurfacesEmptyAuditFileWithPath) {
-  const std::string dir =
-      std::string(::testing::TempDir()) + "/report_empty_audit";
+  const std::string dir = testing::temp_path("report_empty_audit");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   std::ofstream(dir + "/audit.jsonl").close();  // zero bytes
@@ -205,7 +205,7 @@ TEST(ReportAudit, FinalTnsFallsBackToLastIterationThenNan) {
 
 TEST(ReportLoad, LoadsDirectoryAndSniffsSingleFiles) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::path(::testing::TempDir()) / "report_load_test";
+  const fs::path dir = testing::temp_path("report_load_test");
   fs::create_directories(dir);
   {
     std::ofstream(dir / "metrics.json")
@@ -431,7 +431,7 @@ TEST(ReportBench, RejectsMalformedDocuments) {
 
 TEST(ReportBench, LoadRunPicksUpBenchFilesInDirectory) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::path(::testing::TempDir()) / "report_bench_test";
+  const fs::path dir = testing::temp_path("report_bench_test");
   fs::create_directories(dir);
   std::ofstream(dir / "BENCH_sta_kernels.json")
       << R"({"bench":"sta_kernels","metrics":{"speedup_t8":2.0}})";

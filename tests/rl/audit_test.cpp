@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "helpers/temp_path.h"
 #include "rl/env.h"
 #include "rl/policy.h"
 #include "rl/trainer.h"
@@ -219,8 +220,7 @@ TEST(AuditTrainer, GoldenStreamIsByteStableAcrossRuns) {
 // -- JSONL writer -------------------------------------------------------------
 
 TEST(JsonlWriter, WritesSelfDescribingLines) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/audit_writer_test.jsonl";
+  const std::string path = testing::temp_path("audit_writer_test.jsonl");
   std::unique_ptr<JsonlAuditWriter> writer;
   ASSERT_TRUE(JsonlAuditWriter::open(path, writer).ok());
 

@@ -15,6 +15,7 @@
 #include "common/fault.h"
 #include "common/io.h"
 #include "common/telemetry.h"
+#include "helpers/temp_path.h"
 #include "rl/trainer.h"
 
 namespace rlccd {
@@ -41,7 +42,7 @@ TrainConfig fast_config(const Design& d) {
 
 // Fresh empty directory under the test temp root.
 std::string fresh_dir(const char* name) {
-  std::string dir = std::string(::testing::TempDir()) + "/" + name;
+  std::string dir = testing::temp_path(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -28,6 +28,7 @@
 #include "common/ipc.h"
 #include "common/telemetry.h"
 #include "designgen/blocks.h"
+#include "helpers/temp_path.h"
 #include "rl/audit.h"
 #include "rl/isolation/supervisor.h"
 #include "rl/isolation/wire.h"
@@ -449,7 +450,7 @@ struct TrainRun {
 TrainRun run_training(const Design& d, bool isolate, const std::string& tag,
                       int max_worker_restarts = 2) {
   const std::string path =
-      std::string(::testing::TempDir()) + "/isolation_eq_" + tag + ".jsonl";
+      testing::temp_path("isolation_eq_" + tag + ".jsonl");
   std::unique_ptr<JsonlAuditWriter> writer;
   EXPECT_TRUE(JsonlAuditWriter::open(path, writer).ok());
 

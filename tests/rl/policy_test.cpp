@@ -4,6 +4,8 @@
 
 #include <cstring>
 
+#include "helpers/temp_path.h"
+
 namespace rlccd {
 namespace {
 
@@ -188,7 +190,7 @@ TEST(Policy, CloneSharesValuesNotStorage) {
 TEST(Policy, GnnSaveLoadRoundTrip) {
   Policy a(PolicyConfig{}, 8);
   Policy b(PolicyConfig{}, 9);  // different init
-  std::string path = std::string(::testing::TempDir()) + "/gnn.bin";
+  std::string path = testing::temp_path("gnn.bin");
   ASSERT_TRUE(a.save_gnn(path).ok());
   ASSERT_TRUE(b.load_gnn(path).ok());
   std::vector<Tensor> ga = a.gnn_parameters();

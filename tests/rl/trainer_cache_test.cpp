@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "helpers/temp_path.h"
 #include "rl/audit.h"
 #include "rl/design_graph.h"
 #include "rl/evaluator.h"
@@ -149,8 +150,7 @@ struct TrainRun {
 
 TrainRun run_training(const Design& d, std::size_t flow_cache_mb,
                       const std::string& tag) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/cache_eq_" + tag + ".jsonl";
+  const std::string path = testing::temp_path("cache_eq_" + tag + ".jsonl");
   std::unique_ptr<JsonlAuditWriter> writer;
   EXPECT_TRUE(JsonlAuditWriter::open(path, writer).ok());
 

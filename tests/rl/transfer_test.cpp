@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "core/rlccd.h"
+#include "helpers/temp_path.h"
 
 namespace rlccd {
 namespace {
@@ -27,7 +28,7 @@ RlCcdConfig tiny_config(const Design& d) {
 }
 
 TEST(Transfer, DonorToStudentWorkflow) {
-  std::string path = std::string(::testing::TempDir()) + "/transfer_gnn.bin";
+  std::string path = testing::temp_path("transfer_gnn.bin");
 
   // Donor training mutates the EP-GNN away from its initialization.
   Design donor = make_design(171);
@@ -68,7 +69,7 @@ TEST(Transfer, DonorToStudentWorkflow) {
 }
 
 TEST(Transfer, TransferredTrainingIsDeterministic) {
-  std::string path = std::string(::testing::TempDir()) + "/det_gnn.bin";
+  std::string path = testing::temp_path("det_gnn.bin");
   Design donor = make_design(175);
   RlCcd teacher(&donor, tiny_config(donor));
   teacher.run();

@@ -12,10 +12,10 @@
 // drift from what parses), and apply_train_args() maps the typed values
 // onto a TrainConfig.
 //
-// The artifact epilogue both tools shared verbatim lives here too:
-// open_common_artifacts() before the command (arms the trace recorder,
-// opens the audit stream), write_common_artifacts() after it (metrics
-// JSON/CSV, Chrome trace, audit close).
+// The artifact epilogue lives here too, shared by both tools and by
+// smoke_flow: open_common_artifacts() before the command (arms the trace
+// recorder, opens the audit stream), write_common_artifacts() after it
+// (metrics JSON/CSV, Chrome trace, audit close).
 #pragma once
 
 #include <cstdio>

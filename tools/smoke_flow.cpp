@@ -9,37 +9,34 @@
 // (counters, histograms, nested per-pass span trees) after all runs;
 // --trace-json records a Chrome-trace timeline of every span.
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/log.h"
 #include "common/progress.h"
 #include "common/rng.h"
-#include "common/telemetry.h"
-#include "common/trace.h"
 #include "designgen/blocks.h"
 #include "designgen/generator.h"
 #include "opt/flow.h"
+#include "tools/common_args.h"
 
 using namespace rlccd;
 
 int main(int argc, char** argv) {
   set_log_level(LogLevel::Info);
-  std::string metrics_json;
-  std::string metrics_csv;
-  std::string trace_json;
-  bool progress = false;
+  tools::CommonArgs args;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--metrics-json" && i + 1 < argc) {
-      metrics_json = argv[++i];
+      args.metrics_json = argv[++i];
     } else if (arg == "--metrics-csv" && i + 1 < argc) {
-      metrics_csv = argv[++i];
+      args.metrics_csv = argv[++i];
     } else if (arg == "--trace-json" && i + 1 < argc) {
-      trace_json = argv[++i];
+      args.trace_json = argv[++i];
     } else if (arg == "--progress") {
-      progress = true;
+      args.progress = true;
     } else {
       positional.push_back(arg);
     }
@@ -47,7 +44,8 @@ int main(int argc, char** argv) {
   std::string block_name = !positional.empty() ? positional[0] : "block11";
   double scale =
       positional.size() > 1 ? std::atof(positional[1].c_str()) : 0.01;
-  if (!trace_json.empty()) TraceRecorder::global().enable();
+  std::unique_ptr<JsonlAuditWriter> no_audit;  // smoke_flow trains nothing
+  if (!tools::open_common_artifacts(args, no_audit)) return 1;
 
   Design design = generate_design(
       to_generator_config(find_block(block_name), scale));
@@ -65,7 +63,7 @@ int main(int argc, char** argv) {
   StderrProgress progress_observer("  ");
   FlowConfig cfg = default_flow_config(nl.num_real_cells(),
                                        design.clock_period);
-  if (progress) cfg.observer = &progress_observer;
+  if (args.progress) cfg.observer = &progress_observer;
   auto run_with = [&](const char* tag, std::span<const PinId> prio) {
     Netlist work = nl;  // pristine copy per run
     FlowInput input{design.sta_config, design.clock_period, design.die,
@@ -128,31 +126,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!metrics_json.empty()) {
-    if (!MetricsRegistry::global().write_json(metrics_json)) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_json.c_str());
-      return 1;
-    }
-    std::printf("telemetry written to %s\n", metrics_json.c_str());
-  }
-  if (!metrics_csv.empty()) {
-    if (!MetricsRegistry::global().write_csv(metrics_csv)) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_csv.c_str());
-      return 1;
-    }
-    std::printf("telemetry written to %s\n", metrics_csv.c_str());
-  }
-  if (!trace_json.empty()) {
-    TraceRecorder& rec = TraceRecorder::global();
-    rec.disable();
-    if (!rec.write_chrome_json(trace_json)) {
-      std::fprintf(stderr, "cannot write %s\n", trace_json.c_str());
-      return 1;
-    }
-    std::printf("trace written to %s (%llu events, %llu dropped)\n",
-                trace_json.c_str(),
-                static_cast<unsigned long long>(rec.buffered_events()),
-                static_cast<unsigned long long>(rec.dropped_events()));
-  }
-  return 0;
+  return tools::write_common_artifacts(args, nullptr) ? 0 : 1;
 }
