@@ -29,6 +29,8 @@ inline constexpr std::string_view kCounterNames[] = {
     "opt.sizing.upsized",
     "opt.useful_skew.flops_adjusted",
     "opt.useful_skew.sweeps",
+    "policy.backward_rows",
+    "policy.backward_rows_full",
     "policy.encode_rows",
     "policy.encode_rows_full",
     "policy.nonfinite_logits",

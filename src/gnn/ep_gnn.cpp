@@ -3,8 +3,27 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
+
+#include "common/finite.h"
 
 namespace rlccd {
+
+namespace {
+
+// True when every value in the listed rows of `t`, or in all of it when
+// `rows` is null, is finite.
+bool rows_finite(const Tensor& t, const ops::RowList* rows) {
+  const float* v = t.data();
+  const std::size_t n = t.cols();
+  if (rows == nullptr) return all_finite({v, t.size()});
+  for (std::uint32_t r : *rows) {
+    if (!all_finite({v + r * n, n})) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 EpGnn::EpGnn(const EpGnnConfig& config, Rng& rng) : config_(config) {
   RLCCD_EXPECTS(config.layers >= 1);
@@ -31,7 +50,8 @@ EpGnn::Encoder::Encoder(const EpGnn& gnn, const SparseOperand& adj,
       adj_(&adj),
       cones_(&cones),
       ep_rows_(&ep_rows),
-      layers_(gnn.proj_.size()) {
+      layers_(gnn.proj_.size()),
+      reach_(adj.matrix.rows, 0) {
   RLCCD_EXPECTS(adj.matrix.rows == adj.matrix.cols);
   RLCCD_EXPECTS(cones.matrix.cols == adj.matrix.rows);
   RLCCD_EXPECTS(cones.matrix.rows == ep_rows.size());
@@ -45,7 +65,8 @@ std::size_t EpGnn::Encoder::rows_full() const {
   return layers_.size() * adj_->matrix.rows + ep_rows_->size();
 }
 
-Tensor EpGnn::Encoder::encode(const Tensor& x) {
+Tensor EpGnn::Encoder::encode(const Tensor& x,
+                              const std::vector<char>* valid) {
   const EpGnn& gnn = *gnn_;
   RLCCD_EXPECTS(x.cols() == gnn.config_.in_features);
   RLCCD_EXPECTS(x.rows() == adj_->matrix.rows);
@@ -58,6 +79,19 @@ Tensor EpGnn::Encoder::encode(const Tensor& x) {
   const bool fresh = x_.empty();
   find_changed_rows(x);
   rows_computed_ = fresh ? rows_full() : 0;
+  // The backward may skip a row only while every row the encoder holds is
+  // known to be finite: a skipped term is a value times a zero gradient.
+  // Without valid flags this step's rows go unchecked.
+  if (valid == nullptr) checked_ = false;
+  if (checked_) {
+    find_live_rows(*valid);
+  } else {
+    live_.reset();
+  }
+  auto check = [&](const Tensor& t, const RowSet& dirty) {
+    if (checked_) checked_ = rows_finite(t, fresh ? nullptr : &dirty.rows);
+  };
+  check(x, in_);
 
   const Tensor* h = &x;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
@@ -79,15 +113,20 @@ Tensor EpGnn::Encoder::encode(const Tensor& x) {
     const Linear& agg = gnn.agg_[l];
     Tensor gamma = ops::sigmoid(gnn.gate_[l]);           // (0,1)
     Tensor one_minus = ops::affine(gamma, -1.0f, 1.0f);  // 1 - gamma
-    n.proj = ops::linear(*h, proj.weight(), proj.bias(), rows_of(n.proj, in_));
-    n.self = ops::scale_by_scalar(n.proj, gamma, rows_of(n.self, in_));
-    n.neigh = ops::spmm(*adj_, *h, rows_of(n.neigh, neigh_));
+    n.proj = ops::linear(*h, proj.weight(), proj.bias(),
+                         rows_of(n.proj, in_, l));
+    check(n.proj, in_);
+    n.self = ops::scale_by_scalar(n.proj, gamma, rows_of(n.self, in_, l));
+    n.neigh = ops::spmm(*adj_, *h, rows_of(n.neigh, neigh_, l));
+    check(n.neigh, neigh_);
     n.agg = ops::linear(n.neigh, agg.weight(), agg.bias(),
-                        rows_of(n.agg, neigh_));
-    n.agg_scaled =
-        ops::scale_by_scalar(n.agg, one_minus, rows_of(n.agg_scaled, neigh_));
-    n.pre = ops::add(n.self, n.agg_scaled, rows_of(n.pre, out_rows_));
-    n.h = ops::sigmoid(n.pre, rows_of(n.h, out_rows_));
+                        rows_of(n.agg, neigh_, l));
+    check(n.agg, neigh_);
+    n.agg_scaled = ops::scale_by_scalar(n.agg, one_minus,
+                                        rows_of(n.agg_scaled, neigh_, l));
+    n.pre = ops::add(n.self, n.agg_scaled, rows_of(n.pre, out_rows_, l));
+    n.h = ops::sigmoid(n.pre, rows_of(n.h, out_rows_, l));
+    check(n.h, out_rows_);
     h = &n.h;
     std::swap(in_, out_rows_);
   }
@@ -102,18 +141,52 @@ Tensor EpGnn::Encoder::encode(const Tensor& x) {
     head_rows_.sort();
     rows_computed_ += head_rows_.rows.size();
   }
-  Tensor ep_self = ops::gather_rows(*h, *ep_rows_);
-  cone_sum_ = ops::spmm(*cones_, *h, rows_of(cone_sum_, head_rows_));
-  head_in_ = ops::add(ep_self, cone_sum_, rows_of(head_in_, head_rows_));
+  const std::size_t head = layers_.size();
+  ops::OutRows gather;
+  gather.live = live_rows(head);
+  Tensor ep_self = ops::gather_rows(*h, *ep_rows_, gather);
+  cone_sum_ = ops::spmm(*cones_, *h, rows_of(cone_sum_, head_rows_, head));
+  head_in_ = ops::add(ep_self, cone_sum_, rows_of(head_in_, head_rows_, head));
+  check(head_in_, head_rows_);
   out_ = ops::linear(head_in_, gnn.fc_.weight(), gnn.fc_.bias(),
-                     rows_of(out_, head_rows_));
+                     rows_of(out_, head_rows_, head));
+
+  rows_backward_ = rows_full();
+  if (live_ != nullptr) {
+    if (!checked_) {
+      // A value this step computed is not finite. The nodes read their
+      // lists when the backward runs, so listing every row makes it the
+      // full backward.
+      for (std::size_t i = 0; i < live_->size(); ++i) {
+        ops::RowList& rows = (*live_)[i];
+        rows.resize(i < head ? adj_->matrix.rows : ep_rows_->size());
+        std::iota(rows.begin(), rows.end(), 0u);
+      }
+    }
+    rows_backward_ = 0;
+    for (const ops::RowList& rows : *live_) rows_backward_ += rows.size();
+  }
   return out_;
 }
 
-ops::OutRows EpGnn::Encoder::rows_of(Tensor& prior,
-                                     const RowSet& dirty) const {
-  if (!prior.defined()) return {};
-  return {&prior, &dirty.rows};
+// The op rows of an output whose predecessor is `prior` (none when
+// undefined) and whose live rows are list `live` of live_.
+ops::OutRows EpGnn::Encoder::rows_of(Tensor& prior, const RowSet& dirty,
+                                     std::size_t live) const {
+  ops::OutRows rows;
+  if (prior.defined()) {
+    rows.prior = &prior;
+    rows.dirty = &dirty.rows;
+  }
+  rows.live = live_rows(live);
+  return rows;
+}
+
+// List `i` of live_, sharing its ownership; null without live rows.
+std::shared_ptr<const ops::RowList> EpGnn::Encoder::live_rows(
+    std::size_t i) const {
+  if (live_ == nullptr) return nullptr;
+  return {live_, &(*live_)[i]};
 }
 
 // Stores `x` and, unless it is the first, collects the rows that differ
@@ -132,6 +205,51 @@ void EpGnn::Encoder::find_changed_rows(const Tensor& x) {
       std::copy_n(v + r * cols, cols, prev);
       in_.insert(static_cast<std::uint32_t>(r));
     }
+  }
+}
+
+// Fills live_ from the valid endpoints: the head's valid rows; in the last
+// layer, the cells Eq. 3 reads for them (their own cells and cone cells);
+// in each earlier layer, the rows of the next plus the cells Eq. 2 reads
+// for those (their adjacency rows). One flag per cell and an in-order scan
+// keep every list ascending.
+void EpGnn::Encoder::find_live_rows(const std::vector<char>& valid) {
+  RLCCD_EXPECTS(valid.size() == ep_rows_->size());
+  std::swap(live_, spare_);
+  if (live_ == nullptr || live_.use_count() > 1) {
+    live_ = std::make_shared<LiveRows>(layers_.size() + 1);
+  }
+  LiveRows& live = *live_;
+  ops::RowList& head = live.back();
+  head.clear();
+  for (std::size_t e = 0; e < valid.size(); ++e) {
+    if (valid[e]) head.push_back(static_cast<std::uint32_t>(e));
+  }
+  std::fill(reach_.begin(), reach_.end(), 0);
+  const SparseMatrix& cone = cones_->matrix;
+  for (std::uint32_t e : head) {
+    reach_[(*ep_rows_)[e]] = 1;
+    for (std::uint32_t k = cone.row_ptr[e]; k < cone.row_ptr[e + 1]; ++k) {
+      reach_[cone.col_idx[k]] = 1;
+    }
+  }
+  const SparseMatrix& adj = adj_->matrix;
+  for (std::size_t l = layers_.size(); l-- > 0;) {
+    if (l + 1 < layers_.size()) {
+      for (std::uint32_t r : live[l + 1]) {
+        for (std::uint32_t k = adj.row_ptr[r]; k < adj.row_ptr[r + 1]; ++k) {
+          reach_[adj.col_idx[k]] = 1;
+        }
+      }
+    }
+    ops::RowList& rows = live[l];
+    rows.resize(reach_.size());
+    std::size_t count = 0;
+    for (std::size_t c = 0; c < reach_.size(); ++c) {
+      rows[count] = static_cast<std::uint32_t>(c);
+      count += reach_[c];
+    }
+    rows.resize(count);
   }
 }
 

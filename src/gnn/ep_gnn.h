@@ -12,10 +12,12 @@
 // Table I column 0 changes, on the cells of the endpoints the step selected
 // or masked, so EpGnn::Encoder recomputes only the rows that change can
 // reach (DESIGN.md Sec. 5, "Incremental re-encode"); forward() is a fresh
-// encoder's first step.
+// encoder's first step. Given the valid endpoints, the encoder's backward
+// visits only the rows that can reach one ("Live-row backward").
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,6 +56,16 @@ class EpGnn {
   // Encoder per step. Nodes, parents and backward are the full forward's,
   // so values and gradients are bit-identical to it.
   //
+  // Given the valid endpoints, the backward visits only the rows that can
+  // reach one (DESIGN.md Sec. 5, "Live-row backward"): the head's valid
+  // rows, their own cells and cone cells in the last layer, and one
+  // adjacency hop more per earlier layer. The gradients still equal the
+  // full backward's bit for bit when the gradient that reaches each invalid
+  // endpoint's row is zero, as the attention decoder's masked softmax
+  // leaves it. Every computed row is checked for finiteness, because
+  // 0 * inf is not 0: once one is not finite, the encoder's backward visits
+  // every row for the rest of its life.
+  //
   // Clean rows keep values computed at earlier steps, so the parameters
   // must not change while an encoder lives: it is meant for one rollout.
   class Encoder {
@@ -64,12 +76,15 @@ class EpGnn {
             const SparseOperand& cones,
             const std::vector<std::size_t>& ep_rows);
 
-    // As EpGnn::forward.
-    [[nodiscard]] Tensor encode(const Tensor& x);
+    // As EpGnn::forward; `valid` holds one flag per endpoint.
+    [[nodiscard]] Tensor encode(const Tensor& x,
+                                const std::vector<char>* valid = nullptr);
 
-    // Rows the last encode() computed, over the layer outputs and the
-    // endpoint head, and the rows a full forward computes.
+    // Rows the last encode() computed and the rows its backward visits,
+    // over the layer outputs and the endpoint head, and the rows a full
+    // forward computes.
     [[nodiscard]] std::size_t rows_computed() const { return rows_computed_; }
+    [[nodiscard]] std::size_t rows_backward() const { return rows_backward_; }
     [[nodiscard]] std::size_t rows_full() const;
 
    private:
@@ -87,11 +102,18 @@ class EpGnn {
       Tensor proj, self, neigh, agg, agg_scaled, pre, h;
     };
 
-    [[nodiscard]] ops::OutRows rows_of(Tensor& prior,
-                                       const RowSet& dirty) const;
+    // Per layer output, then the head: the rows whose gradient can be
+    // nonzero (ops::OutRows::live).
+    using LiveRows = std::vector<ops::RowList>;
+
+    [[nodiscard]] ops::OutRows rows_of(Tensor& prior, const RowSet& dirty,
+                                       std::size_t live) const;
+    [[nodiscard]] std::shared_ptr<const ops::RowList> live_rows(
+        std::size_t i) const;
     void find_changed_rows(const Tensor& x);
     void grow(const SparseMatrix& reach_t, const RowSet& from,
               RowSet& to) const;
+    void find_live_rows(const std::vector<char>& valid);
 
     const EpGnn* gnn_;
     const SparseOperand* adj_;
@@ -102,6 +124,14 @@ class EpGnn {
     Tensor cone_sum_, head_in_, out_;
     RowSet in_, neigh_, out_rows_, head_rows_;
     std::size_t rows_computed_ = 0;
+    std::size_t rows_backward_ = 0;
+    // This step's live rows, null when its backward visits every row, and
+    // the previous step's. Nodes keep the lists until they die, so a list
+    // is refilled only when no node still holds it.
+    std::shared_ptr<LiveRows> live_, spare_;
+    std::vector<char> reach_;  // per cell, for find_live_rows()
+    // Every row computed so far was checked and is finite.
+    bool checked_ = true;
   };
 
   [[nodiscard]] std::vector<Tensor> parameters() const;

@@ -25,15 +25,43 @@ Tensor make_output(std::size_t m, std::size_t n,
   return make_result(m, n, std::move(parents), std::move(prior.value));
 }
 
+// Calls f(r) for each row of [0, m) when `rows` is null, else for each
+// listed row, in list order.
+template <class F>
+void for_each_row(const RowList* rows, std::size_t m, F&& f) {
+  if (rows == nullptr) {
+    for (std::size_t r = 0; r < m; ++r) f(r);
+  } else {
+    for (std::uint32_t r : *rows) f(r);
+  }
+}
+
 // Calls f(r) for each output row `rows` computes: every row of [0, m)
 // without a prior, else the dirty rows.
 template <class F>
 void for_each_out_row(const OutRows& rows, std::size_t m, F&& f) {
-  if (rows.prior == nullptr) {
-    for (std::size_t r = 0; r < m; ++r) f(r);
-  } else {
-    for (std::uint32_t r : *rows.dirty) f(r);
+  for_each_row(rows.prior != nullptr ? rows.dirty : nullptr, m, f);
+}
+
+// The live rows an op with `m` output rows was given (ops.h OutRows), after
+// checking that they are ascending rows of [0, m).
+std::shared_ptr<const RowList> checked_live(const OutRows& rows,
+                                            std::size_t m) {
+  if (rows.live != nullptr) {
+    const RowList& live = *rows.live;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      RLCCD_EXPECTS(live[i] < m && (i == 0 || live[i - 1] < live[i]));
+    }
   }
+  return rows.live;
+}
+
+// The rows a backward visits when they are not every row of [0, m), else
+// null: a list of every row visits them in the same order as the full
+// loops, so those run instead.
+const RowList* live_subset(const std::shared_ptr<const RowList>& live,
+                           std::size_t m) {
+  return live != nullptr && live->size() < m ? live.get() : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -65,13 +93,15 @@ using Lanes = float __attribute__((vector_size(kLaneWidth * sizeof(float))));
 
 using Tile = float[kTileCols];
 
-// tile[r][:] += sum_t s[r * s_row + t * s_step] * row_t[:], t ascending,
-// where row_t = rows + t * row_step holds kTileCols floats. With kSkipZero a
-// term whose scalar is 0 is skipped, as the textbook loops skip `a == 0`.
-template <std::size_t R, bool kSkipZero>
-void accumulate_tile(Tile (&tile)[R], const float* s, std::size_t s_row,
+// tile[r][:] += sum_t s[r][t' * s_step] * row_t'[:], t ascending, where
+// row_t' = rows + t' * row_step holds kTileCols floats and t' is t, or
+// t_rows[t] when kListed. With kSkipZero a term whose scalar is 0 is
+// skipped, as the textbook loops skip `a == 0`.
+template <std::size_t R, bool kSkipZero, bool kListed = false>
+void accumulate_tile(Tile (&tile)[R], const float* const (&s)[R],
                      std::size_t s_step, const float* rows,
-                     std::size_t row_step, std::size_t steps) {
+                     std::size_t row_step, std::size_t steps,
+                     const std::uint32_t* t_rows = nullptr) {
   Lanes acc[R][kRowVecs];
   for (std::size_t r = 0; r < R; ++r) {
     for (std::size_t q = 0; q < kRowVecs; ++q) {
@@ -79,12 +109,14 @@ void accumulate_tile(Tile (&tile)[R], const float* s, std::size_t s_row,
     }
   }
   for (std::size_t t = 0; t < steps; ++t) {
+    std::size_t tt = t;
+    if constexpr (kListed) tt = t_rows[t];
     Lanes v[kRowVecs];
     for (std::size_t q = 0; q < kRowVecs; ++q) {
-      std::memcpy(&v[q], rows + t * row_step + q * kLaneWidth, sizeof(Lanes));
+      std::memcpy(&v[q], rows + tt * row_step + q * kLaneWidth, sizeof(Lanes));
     }
     for (std::size_t r = 0; r < R; ++r) {
-      const float sv = s[r * s_row + t * s_step];
+      const float sv = s[r][tt * s_step];
       if constexpr (kSkipZero) {
         if (sv == 0.0f) continue;
       }
@@ -123,9 +155,10 @@ void gemm_forward(const float* a, const float* b, const float* bias,
     }
     for_each_row_tile(m, [&](auto rows, std::size_t i0) {
       constexpr std::size_t R = decltype(rows)::value;
+      const float* a_rows[R];
+      for (std::size_t r = 0; r < R; ++r) a_rows[r] = a + (i0 + r) * k;
       Tile tile[R] = {};
-      accumulate_tile<R, true>(tile, a + i0 * k, k, 1, panel.data(),
-                               kTileCols, k);
+      accumulate_tile<R, true>(tile, a_rows, 1, panel.data(), kTileCols, k);
       for (std::size_t r = 0; r < R; ++r) {
         float* orow = out + (i0 + r) * n + j0;
         for (std::size_t c = 0; c < cols; ++c) {
@@ -138,9 +171,10 @@ void gemm_forward(const float* a, const float* b, const float* bias,
 
 // da[m,k] += dout[m,n] * b[k,n]^T. Vectorized across k over a packed B^T:
 // each element's n-term sum stays one serial chain in j order, as in the
-// textbook loop (vectorizing across j would reassociate that sum).
+// textbook loop (vectorizing across j would reassociate that sum). With
+// `only`, just the listed rows of dout and da.
 void gemm_grad_a(const float* dout, const float* b, float* da, std::size_t m,
-                 std::size_t k, std::size_t n) {
+                 std::size_t k, std::size_t n, const RowList* only) {
   std::vector<float> panel(n * kTileCols);
   for (std::size_t kk0 = 0; kk0 < k; kk0 += kTileCols) {
     const std::size_t cols = std::min(kTileCols, k - kk0);
@@ -149,13 +183,20 @@ void gemm_grad_a(const float* dout, const float* b, float* da, std::size_t m,
         panel[j * kTileCols + c] = c < cols ? b[(kk0 + c) * n + j] : 0.0f;
       }
     }
-    for_each_row_tile(m, [&](auto rows, std::size_t i0) {
+    for_each_row_tile(only != nullptr ? only->size() : m,
+                      [&](auto rows, std::size_t i0) {
       constexpr std::size_t R = decltype(rows)::value;
-      Tile tile[R] = {};
-      accumulate_tile<R, false>(tile, dout + i0 * n, n, 1, panel.data(),
-                                kTileCols, n);
+      std::size_t row[R];
+      const float* dout_rows[R];
       for (std::size_t r = 0; r < R; ++r) {
-        float* darow = da + (i0 + r) * k + kk0;
+        row[r] = only != nullptr ? (*only)[i0 + r] : i0 + r;
+        dout_rows[r] = dout + row[r] * n;
+      }
+      Tile tile[R] = {};
+      accumulate_tile<R, false>(tile, dout_rows, 1, panel.data(), kTileCols,
+                                n);
+      for (std::size_t r = 0; r < R; ++r) {
+        float* darow = da + row[r] * k + kk0;
         for (std::size_t c = 0; c < cols; ++c) darow[c] += tile[r][c];
       }
     });
@@ -163,11 +204,12 @@ void gemm_grad_a(const float* dout, const float* b, float* da, std::size_t m,
 }
 
 // db[k,n] += a[m,k]^T * dout[m,n]: a tile of db rows is loaded from the
-// existing grad and the i-ordered products are added onto it. A tail column
-// tile reads a zero-padded copy of its dout columns.
+// existing grad and the i-ordered products are added onto it, over the rows
+// in `only` when given. A tail column tile reads a zero-padded copy of its
+// dout columns.
 void gemm_grad_b(const float* a, const float* dout, float* db, std::size_t m,
-                 std::size_t k, std::size_t n) {
-  if (m == 0) return;
+                 std::size_t k, std::size_t n, const RowList* only) {
+  if (m == 0 || (only != nullptr && only->empty())) return;
   std::vector<float> panel;
   for (std::size_t j0 = 0; j0 < n; j0 += kTileCols) {
     const std::size_t cols = std::min(kTileCols, n - j0);
@@ -183,11 +225,18 @@ void gemm_grad_b(const float* a, const float* dout, float* db, std::size_t m,
     }
     for_each_row_tile(k, [&](auto rows, std::size_t kk0) {
       constexpr std::size_t R = decltype(rows)::value;
+      const float* a_cols[R];
       Tile tile[R] = {};
       for (std::size_t r = 0; r < R; ++r) {
+        a_cols[r] = a + kk0 + r;
         std::copy_n(db + (kk0 + r) * n + j0, cols, tile[r]);
       }
-      accumulate_tile<R, true>(tile, a + kk0, 1, k, g, g_step, m);
+      if (only != nullptr) {
+        accumulate_tile<R, true, true>(tile, a_cols, k, g, g_step,
+                                       only->size(), only->data());
+      } else {
+        accumulate_tile<R, true>(tile, a_cols, k, g, g_step, m);
+      }
       for (std::size_t r = 0; r < R; ++r) {
         std::copy_n(tile[r], cols, db + (kk0 + r) * n + j0);
       }
@@ -218,7 +267,7 @@ Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor* bias,
     // An output row reads only its own row of a, and the kernel computes it
     // the same way in any row position, so the dirty rows are packed,
     // multiplied as one shorter product and scattered back.
-    const std::vector<std::uint32_t>& dirty = *rows.dirty;
+    const RowList& dirty = *rows.dirty;
     std::vector<float> packed_a(dirty.size() * k);
     std::vector<float> packed_out(dirty.size() * n);
     for (std::size_t i = 0; i < dirty.size(); ++i) {
@@ -232,24 +281,29 @@ Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor* bias,
     }
   }
   if (oi->requires_grad) {
-    oi->backward_fn = [ai, bi, ri, oi, m, k, n]() {
+    oi->backward_fn = [ai, bi, ri, oi, m, k, n,
+                       live = checked_live(rows, m)]() {
+      // With live rows the kernels read only those rows of dO and of A:
+      // every dA and dB element takes the full product's terms in the same
+      // order, less the zero ones.
+      const RowList* visit = live_subset(live, m);
       if (wants_grad(ai)) {
         ai->ensure_grad();
         gemm_grad_a(oi->grad.data(), bi->value.data(), ai->grad.data(), m, k,
-                    n);
+                    n, visit);
       }
       if (wants_grad(bi)) {
         bi->ensure_grad();
         gemm_grad_b(ai->value.data(), oi->grad.data(), bi->grad.data(), m, k,
-                    n);
+                    n, visit);
       }
       if (wants_grad(ri)) {
         ri->ensure_grad();
-        for (std::size_t i = 0; i < m; ++i) {
+        for_each_row(visit, m, [&](std::size_t i) {
           for (std::size_t j = 0; j < n; ++j) {
             ri->grad[j] += oi->grad[i * n + j];
           }
-        }
+        });
       }
     };
   }
@@ -280,14 +334,17 @@ Tensor add(const Tensor& a, const Tensor& b, const OutRows& rows) {
     }
   });
   if (oi->requires_grad) {
-    oi->backward_fn = [ai, bi, oi]() {
-      if (wants_grad(ai)) {
-        ai->ensure_grad();
-        for (std::size_t i = 0; i < oi->size(); ++i) ai->grad[i] += oi->grad[i];
-      }
-      if (wants_grad(bi)) {
-        bi->ensure_grad();
-        for (std::size_t i = 0; i < oi->size(); ++i) bi->grad[i] += oi->grad[i];
+    const std::size_t m = a.rows();
+    oi->backward_fn = [ai, bi, oi, m, n, live = checked_live(rows, m)]() {
+      const RowList* visit = live_subset(live, m);
+      for (TensorImpl* in : {ai, bi}) {
+        if (!wants_grad(in)) continue;
+        in->ensure_grad();
+        for_each_row(visit, m, [&](std::size_t r) {
+          for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
+            in->grad[i] += oi->grad[i];
+          }
+        });
       }
     };
   }
@@ -412,20 +469,27 @@ Tensor scale_by_scalar(const Tensor& a, const Tensor& s,
     }
   });
   if (oi->requires_grad) {
-    oi->backward_fn = [ai, si, oi]() {
+    const std::size_t m = a.rows();
+    oi->backward_fn = [ai, si, oi, m, n, live = checked_live(rows, m)]() {
+      const RowList* visit = live_subset(live, m);
       const float sv = si->value[0];
       if (wants_grad(ai)) {
         ai->ensure_grad();
-        for (std::size_t i = 0; i < oi->size(); ++i) {
-          ai->grad[i] += sv * oi->grad[i];
-        }
+        for_each_row(visit, m, [&](std::size_t r) {
+          for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
+            ai->grad[i] += sv * oi->grad[i];
+          }
+        });
       }
       if (wants_grad(si)) {
         si->ensure_grad();
+        // One serial sum in ascending element order.
         float acc = 0.0f;
-        for (std::size_t i = 0; i < oi->size(); ++i) {
-          acc += ai->value[i] * oi->grad[i];
-        }
+        for_each_row(visit, m, [&](std::size_t r) {
+          for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
+            acc += ai->value[i] * oi->grad[i];
+          }
+        });
         si->grad[0] += acc;
       }
     };
@@ -447,13 +511,16 @@ Tensor unary_op(const Tensor& a, Fwd fwd, Dfn dfn, const OutRows& rows = {}) {
     }
   });
   if (oi->requires_grad) {
-    oi->backward_fn = [ai, oi, dfn]() {
+    const std::size_t m = a.rows();
+    oi->backward_fn = [ai, oi, dfn, m, n, live = checked_live(rows, m)]() {
       if (!wants_grad(ai)) return;
       ai->ensure_grad();
-      for (std::size_t i = 0; i < oi->size(); ++i) {
-        // dfn receives (input, output) so e.g. sigmoid can reuse y.
-        ai->grad[i] += oi->grad[i] * dfn(ai->value[i], oi->value[i]);
-      }
+      for_each_row(live_subset(live, m), m, [&](std::size_t r) {
+        for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
+          // dfn receives (input, output) so e.g. sigmoid can reuse y.
+          ai->grad[i] += oi->grad[i] * dfn(ai->value[i], oi->value[i]);
+        }
+      });
     };
   }
   return out;
@@ -534,7 +601,9 @@ Tensor concat_cols(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor gather_rows(const Tensor& a, const std::vector<std::size_t>& idx) {
+Tensor gather_rows(const Tensor& a, const std::vector<std::size_t>& idx,
+                   const OutRows& rows) {
+  RLCCD_EXPECTS(rows.prior == nullptr);
   const std::size_t n = a.cols();
   Tensor out = make_result(idx.size(), n, {a.ptr()});
   TensorImpl* ai = a.ptr().get();
@@ -544,14 +613,15 @@ Tensor gather_rows(const Tensor& a, const std::vector<std::size_t>& idx) {
     std::copy_n(ai->value.data() + idx[i] * n, n, oi->value.data() + i * n);
   }
   if (oi->requires_grad) {
-    oi->backward_fn = [ai, oi, idx, n]() {
+    const std::size_t m = idx.size();
+    oi->backward_fn = [ai, oi, idx, n, m, live = checked_live(rows, m)]() {
       if (!wants_grad(ai)) return;
       ai->ensure_grad();
-      for (std::size_t i = 0; i < idx.size(); ++i) {
+      for_each_row(live_subset(live, m), m, [&](std::size_t i) {
         float* ag = ai->grad.data() + idx[i] * n;
         const float* g = oi->grad.data() + i * n;
         for (std::size_t j = 0; j < n; ++j) ag[j] += g[j];
-      }
+      });
     };
   }
   return out;
@@ -639,16 +709,34 @@ Tensor spmm(const SparseOperand& sp, const Tensor& x, const OutRows& rows) {
     }
   });
   if (oi->requires_grad) {
-    const SparseMatrix* at = &sp.matrix_t;
-    oi->backward_fn = [xi, oi, at, n]() {
+    const SparseOperand* op = &sp;
+    const std::size_t m = a.rows;
+    oi->backward_fn = [xi, oi, op, m, n, live = checked_live(rows, m)]() {
       if (!wants_grad(xi)) return;
       xi->ensure_grad();
-      // dX = A^T * dO
-      for (std::size_t r = 0; r < at->rows; ++r) {
-        float* xg = xi->grad.data() + r * n;
-        for (std::uint32_t k = at->row_ptr[r]; k < at->row_ptr[r + 1]; ++k) {
-          const float v = at->values[k];
-          const float* grow = oi->grad.data() + at->col_idx[k] * n;
+      const RowList* visit = live_subset(live, m);
+      if (visit == nullptr) {
+        // dX = A^T * dO
+        const SparseMatrix& at = op->matrix_t;
+        for (std::size_t r = 0; r < at.rows; ++r) {
+          float* xg = xi->grad.data() + r * n;
+          for (std::uint32_t k = at.row_ptr[r]; k < at.row_ptr[r + 1]; ++k) {
+            const float v = at.values[k];
+            const float* grow = oi->grad.data() + at.col_idx[k] * n;
+            for (std::size_t j = 0; j < n; ++j) xg[j] += v * grow[j];
+          }
+        }
+        return;
+      }
+      // The live rows' terms of A^T * dO, scattered from A's rows in
+      // ascending order. transposed() is a stable counting sort, so each dX
+      // row takes its terms in the order of its row of A^T.
+      const SparseMatrix& a = op->matrix;
+      for (std::uint32_t r : *visit) {
+        const float* grow = oi->grad.data() + r * n;
+        for (std::uint32_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+          const float v = a.values[k];
+          float* xg = xi->grad.data() + a.col_idx[k] * n;
           for (std::size_t j = 0; j < n; ++j) xg[j] += v * grow[j];
         }
       }

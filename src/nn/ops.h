@@ -3,6 +3,8 @@
 // verified against finite differences in the test suite.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "nn/sparse.h"
@@ -10,8 +12,11 @@
 
 namespace rlccd::ops {
 
-// Which output rows an op computes. linear, add, scale_by_scalar, sigmoid
-// and spmm take one; the default computes every row into fresh storage.
+// Which output rows an op computes, and which rows its backward visits.
+// linear, add, scale_by_scalar, sigmoid and spmm take one; gather_rows takes
+// only `live`. The default computes every row into fresh storage and
+// backwards every row.
+//
 // With `prior` set, the output takes over prior's value storage instead and
 // recomputes only the rows in `dirty`; the other rows keep prior's values.
 // `prior` is the same op's output one step earlier, of the same shape, and
@@ -20,9 +25,21 @@ namespace rlccd::ops {
 // the full op's either way; each row is computed as the full op computes
 // it, so a row whose inputs did not change keeps the full op's value bit
 // for bit (the EP-GNN incremental re-encode, DESIGN.md Sec. 5).
+//
+// With `live` set, the backward reads and writes only the output rows it
+// lists, ascending and distinct: the rows whose gradient can be nonzero.
+// It is exact when every other row's gradient is +0 or -0 and every value
+// the backward would multiply by it is finite: each skipped term is then
+// +0 or -0, and adding one to an accumulator that is not -0 changes
+// nothing. Grad buffers start at +0, and a round-to-nearest sum is -0 only
+// when both operands are, so no accumulator is -0 during a backward
+// (DESIGN.md Sec. 5, "Live-row backward"). The node keeps the list and
+// reads it when its backward runs.
+using RowList = std::vector<std::uint32_t>;
 struct OutRows {
   Tensor* prior = nullptr;
-  const std::vector<std::uint32_t>* dirty = nullptr;  // with prior
+  const RowList* dirty = nullptr;  // with prior
+  std::shared_ptr<const RowList> live;
 };
 
 // Dense linear algebra.
@@ -51,8 +68,10 @@ Tensor relu(const Tensor& a);
 Tensor sum(const Tensor& a);                       // -> 1x1
 Tensor mean(const Tensor& a);                      // -> 1x1
 Tensor concat_cols(const Tensor& a, const Tensor& b);  // [m,p]|[m,q] -> [m,p+q]
-// Row gather with scatter-add backward: out[i,:] = a[idx[i],:].
-Tensor gather_rows(const Tensor& a, const std::vector<std::size_t>& idx);
+// Row gather with scatter-add backward: out[i,:] = a[idx[i],:]. `rows`
+// sets only `live`; every row is computed.
+Tensor gather_rows(const Tensor& a, const std::vector<std::size_t>& idx,
+                   const OutRows& rows = {});
 Tensor pick(const Tensor& a, std::size_t r, std::size_t c);  // -> 1x1
 
 // Masked log-softmax over a column vector [n,1]: invalid entries get
@@ -61,8 +80,9 @@ Tensor pick(const Tensor& a, std::size_t r, std::size_t c);  // -> 1x1
 Tensor masked_log_softmax(const Tensor& scores,
                           const std::vector<char>& valid);
 
-// Sparse x dense: out = sp.matrix * x; backward uses sp.matrix_t. The
-// sparse values are constants (graph structure), only x carries gradient.
+// Sparse x dense: out = sp.matrix * x; backward uses sp.matrix_t, or with
+// live rows scatters from those rows of sp.matrix. The sparse values are
+// constants (graph structure), only x carries gradient.
 Tensor spmm(const SparseOperand& sp, const Tensor& x,
             const OutRows& rows = {});
 

@@ -70,12 +70,17 @@ Policy::RolloutResult Policy::rollout(const DesignGraph& graph,
   LSTMCell::State state = lstm_.zero_state();
   Tensor prev_embedding = Tensor::zeros(1, config_.gnn.embedding);
 
-  // EP-GNN rows computed (layer outputs and endpoint head, summed over
-  // steps) against the rows full re-encodes would compute.
+  // EP-GNN rows computed and rows the backward visits (layer outputs and
+  // endpoint head, summed over steps) against the rows full re-encodes and
+  // full backwards would.
   static MetricsCounter& ctr_encode_rows =
       MetricsRegistry::global().counter("policy.encode_rows");
   static MetricsCounter& ctr_encode_rows_full =
       MetricsRegistry::global().counter("policy.encode_rows_full");
+  static MetricsCounter& ctr_backward_rows =
+      MetricsRegistry::global().counter("policy.backward_rows");
+  static MetricsCounter& ctr_backward_rows_full =
+      MetricsRegistry::global().counter("policy.backward_rows_full");
   auto fresh_encoder = [&] {
     return EpGnn::Encoder(gnn_, graph.adjacency(), graph.cone_matrix(),
                           graph.endpoint_rows());
@@ -87,13 +92,22 @@ Policy::RolloutResult Policy::rollout(const DesignGraph& graph,
     // recomputing only the rows the last step's mask change reaches. Each
     // step's graph is spent by the next step in the stepwise modes;
     // FullGraph keeps them all alive, so it encodes every step afresh.
+    // The masked softmax gives the invalid endpoints a zero gradient, so a
+    // backward skips the EP-GNN rows that cannot reach a valid one.
     Tensor f_ep;
     {
       RLCCD_SPAN("policy_encode");
       if (!stepwise) encoder = fresh_encoder();
-      f_ep = encoder.encode(graph.features_with_mask(env.cell_mask_flags()));
+      const std::vector<char>* valid =
+          mode == RolloutMode::Inference ? nullptr : &env.valid();
+      f_ep = encoder.encode(graph.features_with_mask(env.cell_mask_flags()),
+                            valid);
       ctr_encode_rows.add(encoder.rows_computed());
       ctr_encode_rows_full.add(encoder.rows_full());
+      if (valid != nullptr) {
+        ctr_backward_rows.add(encoder.rows_backward());
+        ctr_backward_rows_full.add(encoder.rows_full());
+      }
     }
 
     Tensor log_probs;

@@ -4,7 +4,8 @@
 // EP-GNN re-run every step (the RL-masked feature changes after each
 // overlap-masking action, paper Sec. III-B.1). The re-run is incremental:
 // each step recomputes only the rows the last step's mask change reaches,
-// bit-identical to a full forward (EpGnn::Encoder).
+// and a step's backward visits only the rows that can reach a valid
+// endpoint, both bit-identical to the full computation (EpGnn::Encoder).
 #pragma once
 
 #include <vector>

@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "common/fault.h"
+#include "helpers/temp_path.h"
 #include "serve/client.h"
 
 namespace rlccd {
@@ -50,6 +51,7 @@ class DaemonTest : public ::testing::Test {
   void TearDown() override {
     if (daemon_ != nullptr) stop_daemon();
     FaultInjector::global().reset();
+    if (!root_dir_.empty()) testing::remove_tree(root_dir_);
   }
 
   void start_daemon(ServeConfig cfg) {
@@ -60,6 +62,7 @@ class DaemonTest : public ::testing::Test {
     cfg.socket_path = base + ".sock";
     cfg.root_dir = base;
     socket_path_ = cfg.socket_path;
+    root_dir_ = base;
     daemon_ = std::make_unique<ServeDaemon>(cfg);
     Status s = daemon_->init();
     ASSERT_TRUE(s.ok()) << s.to_string();
@@ -74,6 +77,7 @@ class DaemonTest : public ::testing::Test {
   }
 
   std::string socket_path_;
+  std::string root_dir_;
   std::unique_ptr<ServeDaemon> daemon_;
   std::thread thread_;
   int exit_code_ = -1;

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "common/fault.h"
+#include "helpers/temp_path.h"
 #include "serve/client.h"
 
 namespace rlccd {
@@ -95,6 +96,7 @@ TEST(ServeLifecycle, CrashedJobResumesFromCheckpointBitIdentical) {
   ASSERT_TRUE(client.shutdown().ok());
   loop.join();
   EXPECT_EQ(exit_code, 0);
+  testing::remove_tree(base);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "common/io.h"
 #include "common/json.h"
 #include "common/metric_names.h"
+#include "helpers/temp_path.h"
 #include "serve/client.h"
 
 namespace rlccd {
@@ -47,6 +48,7 @@ class ObservabilityTest : public ::testing::Test {
     cfg.socket_path = base + ".sock";
     cfg.root_dir = base;
     socket_path_ = cfg.socket_path;
+    root_dir_ = base;
     daemon_ = std::make_unique<ServeDaemon>(cfg);
     Status s = daemon_->init();
     ASSERT_TRUE(s.ok()) << s.to_string();
@@ -59,6 +61,7 @@ class ObservabilityTest : public ::testing::Test {
       if (thread_.joinable()) thread_.join();
       daemon_.reset();
     }
+    if (!root_dir_.empty()) testing::remove_tree(root_dir_);
   }
 
   // Polls the stats JSON until `job_id` is running on a worker slot;
@@ -90,6 +93,7 @@ class ObservabilityTest : public ::testing::Test {
   }
 
   std::string socket_path_;
+  std::string root_dir_;
   std::unique_ptr<ServeDaemon> daemon_;
   std::thread thread_;
   int exit_code_ = -1;

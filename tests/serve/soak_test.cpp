@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "helpers/temp_path.h"
 #include "serve/client.h"
 
 namespace rlccd {
@@ -163,6 +164,7 @@ TEST(ServeSoak, ConcurrentClientsUnderInjectedFaults) {
   ASSERT_TRUE(after.shutdown().ok());
   loop.join();
   EXPECT_EQ(exit_code, 0);
+  testing::remove_tree(base);
 }
 
 }  // namespace
