@@ -815,6 +815,14 @@ void MetricsRegistry::reset() {
     h->max_.store(MetricsHistogram::kMaxInit, std::memory_order_relaxed);
     for (auto& b : h->buckets_) b.store(0, std::memory_order_relaxed);
   }
+  // The caller's batched outermost closes predate the reset too; drop them
+  // rather than let the next snapshot merge them. Same guard as
+  // flush_thread_spans(): open spans point into the thread tree.
+  ThreadSpanState& st = thread_spans();
+  if (st.stack.size() == 1) {
+    st.root.children.clear();
+    st.pending_closes = 0;
+  }
   std::lock_guard<std::mutex> span_lock(span_mutex_);
   spans_ = SpanNode{};
 }

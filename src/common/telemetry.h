@@ -297,7 +297,8 @@ class MetricsRegistry {
   // plane (children ship deltas; see common/telemetry_wire.h).
   void merge_delta(const TelemetrySnapshot& delta);
 
-  // Zeroes every counter/histogram and clears the span aggregate. Object
+  // Zeroes every counter/histogram and clears the span aggregate, and the
+  // calling thread's batched span closes when it has no span open. Object
   // addresses survive (cached references stay valid). Test helper; not
   // meant to run concurrently with recording threads.
   void reset();

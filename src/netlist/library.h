@@ -72,6 +72,11 @@ struct LibCell {
     return kind == CellKind::Input || kind == CellKind::Output;
   }
 
+  // Capacitance of input pin `input_pin` (the CK pin of a DFF is pin 1).
+  [[nodiscard]] double pin_cap(int input_pin) const {
+    return is_sequential() && input_pin == 1 ? clock_pin_cap : input_cap;
+  }
+
   // Arc delay input pin -> output for combinational cells, CK -> Q for DFFs.
   [[nodiscard]] double arc_delay(int input_pin, double load_cap,
                                  double input_slew) const;

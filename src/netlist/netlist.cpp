@@ -1,7 +1,9 @@
 #include "netlist/netlist.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 namespace rlccd {
 
@@ -38,6 +40,7 @@ NetId Netlist::add_net(std::string name) {
   n.id = id;
   n.name = std::move(name);
   nets_.push_back(std::move(n));
+  wire_stale_.resize((nets_.size() + 63) / 64, 0);
   return id;
 }
 
@@ -49,6 +52,7 @@ void Netlist::set_driver(NetId net_id, CellId cell_id) {
   RLCCD_EXPECTS(!pins_[c.output.index()].net.valid());
   n.driver = c.output;
   pins_[c.output.index()].net = net_id;
+  mark_wire_stale(net_id);
   journal_.record(MutationKind::Structural, cell_id);
   // Sinks wired before the driver become reachable now.
   for (PinId sink : n.sinks) {
@@ -65,6 +69,8 @@ void Netlist::add_sink(NetId net_id, CellId cell_id, int input_index) {
   RLCCD_EXPECTS(!pins_[pin_id.index()].net.valid());
   pins_[pin_id.index()].net = net_id;
   n.sinks.push_back(pin_id);
+  n.load_cap += sink_cap(pin_id);
+  mark_wire_stale(net_id);
   journal_.record(MutationKind::Structural, cell_id);
   // The driver's load grew by the new sink's pin capacitance.
   if (n.driver.valid()) {
@@ -80,15 +86,21 @@ void Netlist::move_sink(PinId pin_id, NetId new_net) {
   auto it = std::find(old_net.sinks.begin(), old_net.sinks.end(), pin_id);
   RLCCD_EXPECTS(it != old_net.sinks.end());
   old_net.sinks.erase(it);
+  old_net.load_cap = fold_load(old_net);
+  mark_wire_stale(p.net);
   p.net = new_net;
-  nets_[new_net.index()].sinks.push_back(pin_id);
+  Net& target = nets_[new_net.index()];
+  target.sinks.push_back(pin_id);
+  target.load_cap += sink_cap(pin_id);
+  mark_wire_stale(new_net);
   journal_.record(MutationKind::Structural, p.cell);
   // Both drivers see a load change (and the sink a new arrival source).
   if (old_net.driver.valid()) {
     journal_.record(MutationKind::Electrical, pins_[old_net.driver.index()].cell);
   }
-  if (PinId drv = nets_[new_net.index()].driver; drv.valid()) {
-    journal_.record(MutationKind::Electrical, pins_[drv.index()].cell);
+  if (target.driver.valid()) {
+    journal_.record(MutationKind::Electrical,
+                    pins_[target.driver.index()].cell);
   }
 }
 
@@ -102,12 +114,15 @@ void Netlist::swap_input_nets(CellId cell_id, int pin_a, int pin_b) {
   NetId net_a = pins_[a.index()].net;
   NetId net_b = pins_[b.index()].net;
   RLCCD_EXPECTS(net_a.valid() && net_b.valid());
-  // Replace pin entries in the two nets' sink lists.
+  // Replace pin entries in the two nets' sink lists; each net's load then
+  // holds the other pin's cap at that position. Both pins sit on one cell,
+  // so neither net's bounding box, hence wire cap, changes.
   auto replace = [&](NetId net_id, PinId from, PinId to) {
     Net& n = nets_[net_id.index()];
     auto it = std::find(n.sinks.begin(), n.sinks.end(), from);
     RLCCD_EXPECTS(it != n.sinks.end());
     *it = to;
+    n.load_cap = fold_load(n);
   };
   replace(net_a, a, b);
   replace(net_b, b, a);
@@ -123,6 +138,15 @@ void Netlist::resize_cell(CellId cell_id, LibCellId new_lib) {
   RLCCD_EXPECTS(old_lc.kind == new_lc.kind);
   if (c.lib == new_lib) return;
   c.lib = new_lib;
+  // Sink pins whose cap changed re-fold their nets. A DFF's CK pin keeps
+  // clock_pin_cap across sizes, so a flop resize never re-folds the clock.
+  for (std::size_t i = 0; i < c.inputs.size(); ++i) {
+    const int index = static_cast<int>(i);
+    if (old_lc.pin_cap(index) == new_lc.pin_cap(index)) continue;
+    if (NetId net = pins_[c.inputs[i].index()].net; net.valid()) {
+      nets_[net.index()].load_cap = fold_load(nets_[net.index()]);
+    }
+  }
   journal_.record(MutationKind::Electrical, cell_id);
 }
 
@@ -131,6 +155,8 @@ void Netlist::set_position(CellId cell_id, double x, double y) {
   if (c.x == x && c.y == y) return;
   c.x = x;
   c.y = y;
+  for (PinId in : c.inputs) mark_wire_stale(pins_[in.index()].net);
+  if (c.output.valid()) mark_wire_stale(pins_[c.output.index()].net);
   journal_.record(MutationKind::Moved, cell_id);
 }
 
@@ -166,19 +192,20 @@ std::size_t Netlist::num_real_cells() const {
   return n;
 }
 
-double Netlist::net_load_cap(NetId id) const {
-  const Net& n = net(id);
+double Netlist::sink_cap(PinId sink) const {
+  const Pin& p = pins_[sink.index()];
+  return lib_cell(p.cell).pin_cap(p.index);
+}
+
+double Netlist::fold_load(const Net& n) const {
   double cap = n.wire_cap;
-  for (PinId sink : n.sinks) {
-    const Pin& p = pin(sink);
-    const LibCell& lc = lib_cell(p.cell);
-    if (lc.is_sequential() && p.index == 1) {
-      cap += lc.clock_pin_cap;
-    } else {
-      cap += lc.input_cap;
-    }
-  }
+  for (PinId sink : n.sinks) cap += sink_cap(sink);
   return cap;
+}
+
+void Netlist::mark_wire_stale(NetId net) {
+  if (!net.valid()) return;
+  wire_stale_[net.index() / 64] |= std::uint64_t{1} << (net.index() % 64);
 }
 
 double Netlist::sink_distance(PinId sink) const {
@@ -209,14 +236,21 @@ double Netlist::net_hpwl(NetId id) const {
 
 void Netlist::update_wire_parasitics() {
   const Tech& tech = library_->tech();
-  for (Net& n : nets_) {
-    double cap = tech.wire_cap_per_um * net_hpwl(n.id);
-    if (cap == n.wire_cap) continue;
-    n.wire_cap = cap;
-    // Only the driver's arc sees the load change; sink wire delays use
-    // distances, which were journaled when the cells moved.
-    if (n.driver.valid()) {
-      journal_.record(MutationKind::Electrical, pins_[n.driver.index()].cell);
+  // Words, then bits within a word, in ascending order: ascending net id.
+  for (std::size_t w = 0; w < wire_stale_.size(); ++w) {
+    for (std::uint64_t bits = std::exchange(wire_stale_[w], 0); bits != 0;
+         bits &= bits - 1) {
+      Net& n = nets_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+      double cap = tech.wire_cap_per_um * net_hpwl(n.id);
+      if (cap == n.wire_cap) continue;
+      n.wire_cap = cap;
+      n.load_cap = fold_load(n);
+      // Only the driver's arc sees the load change; sink wire delays use
+      // distances, which were journaled when the cells moved.
+      if (n.driver.valid()) {
+        journal_.record(MutationKind::Electrical,
+                        pins_[n.driver.index()].cell);
+      }
     }
   }
 }
@@ -255,6 +289,8 @@ void Netlist::validate() const {
       RLCCD_ASSERT(pin(s).net == n.id);
       RLCCD_ASSERT(pin(s).dir == PinDir::Input);
     }
+    RLCCD_ASSERT(std::bit_cast<std::uint64_t>(n.load_cap) ==
+                 std::bit_cast<std::uint64_t>(fold_load(n)));
   }
 }
 

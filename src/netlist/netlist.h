@@ -46,12 +46,17 @@ struct Cell {
   PinId output;  // invalid for Output ports
 };
 
+// `driver` sits next to `id` so the two 4-byte ids share one 8-byte slot:
+// the struct stays 80 bytes with `load_cap` (every flow copies every net).
 struct Net {
   NetId id;
-  std::string name;
   PinId driver;               // invalid until a driver is connected
+  std::string name;
   std::vector<PinId> sinks;
   double wire_cap = 0.0;      // fF, refreshed by update_wire_parasitics()
+  // fF: wire_cap plus every sink's pin cap, folded left in sink order. The
+  // mutators keep it current (see net_load_cap()).
+  double load_cap = 0.0;
 };
 
 class Netlist {
@@ -116,14 +121,21 @@ class Netlist {
   [[nodiscard]] std::size_t num_real_cells() const;
 
   // -- derived electrical state ---------------------------------------------
-  // Total capacitive load seen by a net's driver: wire cap + sink pin caps.
-  [[nodiscard]] double net_load_cap(NetId id) const;
+  // Total capacitive load seen by a net's driver: wire cap + sink pin caps,
+  // summed left to right from wire_cap in sink order. Kept current by the
+  // mutators: an appended sink adds its cap to the stored sum (the same
+  // addition the fold would make last); a removed or swapped sink, a resize
+  // that changes a sink pin's cap, or a new wire_cap re-folds the net.
+  [[nodiscard]] double net_load_cap(NetId id) const { return net(id).load_cap; }
   // Manhattan distance between a net's driver and a given sink pin (um).
   [[nodiscard]] double sink_distance(PinId sink) const;
   // Half-perimeter wirelength of a net's bounding box (um).
   [[nodiscard]] double net_hpwl(NetId id) const;
-  // Refreshes every net's wire_cap from placement (call after placement or
-  // topology changes).
+  // Refreshes wire_cap from placement for every net whose pin set or pin
+  // positions changed since the last call (call after placement or topology
+  // changes). Nets are visited in ascending id, so the Electrical journal
+  // entries, and hence state_hash(), are those a sweep over every net would
+  // record: a net whose pins did not change cannot change its wire cap.
   void update_wire_parasitics();
 
   // -- mutation journal ------------------------------------------------------
@@ -141,17 +153,25 @@ class Netlist {
   void collapse_journal() { journal_.collapse(); }
 
   // -- invariant check (tests) ------------------------------------------------
-  // Verifies pin/net/cell cross-references; aborts on corruption.
+  // Verifies pin/net/cell cross-references and every net's cached load;
+  // aborts on corruption.
   void validate() const;
 
  private:
   PinId add_pin(CellId cell, PinDir dir, std::uint16_t index);
+  [[nodiscard]] double sink_cap(PinId sink) const;
+  [[nodiscard]] double fold_load(const Net& n) const;
+  // Flags a net for the next update_wire_parasitics().
+  void mark_wire_stale(NetId net);
 
   const Library* library_;
   std::vector<Cell> cells_;
   std::vector<Net> nets_;
   std::vector<Pin> pins_;
   MutationJournal journal_;
+  // One bit per net (net i is bit i % 64 of word i / 64): its pin set or a
+  // pin's position changed since the last update_wire_parasitics().
+  std::vector<std::uint64_t> wire_stale_;
 };
 
 }  // namespace rlccd

@@ -95,9 +95,6 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
       result.prioritized_outcomes.push_back(
           {input.prioritized[i], slacks[i], slacks[i]});
     }
-    SwitchingActivity act =
-        propagate_activity(netlist, ActivityConfig{}, input.pi_toggles);
-    result.power_begin = compute_power(netlist, act);
     emit_summary(config, "begin", now_sec() - t0, result.begin);
   }
   if (cancelled("begin_sta")) return finalize();

@@ -1,7 +1,7 @@
 // Placement-stage optimization flow (the paper's Fig. 1).
 //
 // Mirrors the reference tool's recipe:
-//   1. begin STA/power (post global placement),
+//   1. begin STA (post global placement),
 //   2. pre-CCD coarse sizing,
 //   3. [RL hook] apply margins that worsen the *prioritized* endpoints'
 //      timing to design WNS (paper Fig. 2 / Algorithm 1 line 14),
@@ -107,7 +107,8 @@ struct FlowResult {
   TimingSummary begin;          // post global place, before any optimization
   TimingSummary after_skew;     // after the CCD useful-skew step (margins off)
   TimingSummary final_summary;  // end of placement optimization
-  PowerReport power_begin;
+  // End-of-flow power. The input netlist's power is the caller's to compute
+  // (propagate_activity + compute_power), once per design, not per flow.
   PowerReport power_final;
   UsefulSkewResult skew;
   int cells_upsized = 0;

@@ -105,12 +105,12 @@ SwitchingActivity propagate_activity(const Netlist& netlist,
 
   // Fixed-point sweeps: comb propagation, then flop Q from D, repeated so
   // activity settles across sequential boundaries.
+  std::vector<double> ins;
   for (int sweep = 0; sweep < config.sweeps; ++sweep) {
     for (CellId id : topo) {
       const Cell& c = netlist.cell(id);
       const LibCell& lc = netlist.library().cell(c.lib);
-      std::vector<double> ins;
-      ins.reserve(c.inputs.size());
+      ins.clear();
       for (PinId in : c.inputs) {
         ins.push_back(act.toggle(netlist.pin(in).net));
       }

@@ -49,9 +49,7 @@ double Sta::wire_delay(PinId sink) const {
   const Pin& p = nl.pin(sink);
   const Tech& tech = nl.library().tech();
   double dist = nl.sink_distance(sink);
-  const LibCell& lc = nl.lib_cell(p.cell);
-  double sink_cap = (lc.is_sequential() && p.index == 1) ? lc.clock_pin_cap
-                                                         : lc.input_cap;
+  double sink_cap = nl.lib_cell(p.cell).pin_cap(p.index);
   double r = tech.wire_res_per_um * dist;
   double c = tech.wire_cap_per_um * dist;
   return kPsToNs * r * (0.5 * c + sink_cap);

@@ -41,6 +41,7 @@ void TimingGraph::build(const Netlist& netlist) {
   const std::size_t n_cells = netlist.num_cells();
   is_comb_.assign(n_cells, 0);
   level_.assign(n_cells, 0);
+  queued_.assign(n_cells, 0);
   endpoints_.clear();
   endpoint_flag_.assign(netlist.num_pins(), 0);
   for (const Cell& c : netlist.cells()) admit_cell(netlist, c, nullptr);
@@ -92,8 +93,8 @@ void TimingGraph::build(const Netlist& netlist) {
 }
 
 void TimingGraph::relevel(const Netlist& netlist, std::vector<CellId> seeds) {
-  std::vector<char> queued(netlist.num_cells(), 0);
-  for (CellId c : seeds) queued[c.index()] = 1;
+  // Every cell flagged here is popped, and unflagged, before the loop ends.
+  for (CellId c : seeds) queued_[c.index()] = 1;
   // Fixpoint iteration: on a DAG each cell's level stabilizes after at most
   // depth rounds; the guard only trips on a (structurally impossible)
   // combinational loop.
@@ -102,7 +103,7 @@ void TimingGraph::relevel(const Netlist& netlist, std::vector<CellId> seeds) {
   while (head < seeds.size()) {
     RLCCD_ASSERT(budget-- > 0);
     CellId id = seeds[head++];
-    queued[id.index()] = 0;
+    queued_[id.index()] = 0;
     if (!is_comb(id)) continue;
     const Cell& c = netlist.cell(id);
     std::uint32_t lvl = level_from_fanins(netlist, c);
@@ -113,8 +114,8 @@ void TimingGraph::relevel(const Netlist& netlist, std::vector<CellId> seeds) {
     if (!out.net.valid()) continue;
     for (PinId sink : netlist.net(out.net).sinks) {
       CellId consumer = netlist.pin(sink).cell;
-      if (!is_comb(consumer) || queued[consumer.index()]) continue;
-      queued[consumer.index()] = 1;
+      if (!is_comb(consumer) || queued_[consumer.index()]) continue;
+      queued_[consumer.index()] = 1;
       seeds.push_back(consumer);
     }
   }
@@ -130,19 +131,28 @@ void TimingGraph::apply_structural(const Netlist& netlist,
   if (n_cells > first_new) {
     is_comb_.resize(n_cells, 0);
     level_.resize(n_cells, 0);
+    queued_.resize(n_cells, 0);
     endpoint_flag_.resize(netlist.num_pins(), 0);
+    const std::size_t known_endpoints = endpoints_.size();
     for (std::size_t i = first_new; i < n_cells; ++i) {
       CellId id(static_cast<std::uint32_t>(i));
       admit_cell(netlist, netlist.cell(id), new_endpoints);
       seeds.push_back(id);
     }
-    std::sort(endpoints_.begin(), endpoints_.end());
+    if (endpoints_.size() != known_endpoints) {
+      std::sort(endpoints_.begin(), endpoints_.end());
+    }
   }
   if (netlist.num_pins() > endpoint_flag_.size()) {
     endpoint_flag_.resize(netlist.num_pins(), 0);
   }
   relevel(netlist, std::move(seeds));
-  rebuild_order();
+  order_stale_ = true;
+}
+
+std::span<const CellId> TimingGraph::order() {
+  if (order_stale_) rebuild_order();
+  return order_;
 }
 
 void TimingGraph::rebuild_order() {
@@ -164,6 +174,7 @@ void TimingGraph::rebuild_order() {
     if (!is_comb_[i]) continue;
     order_[counts[level_[i]]++] = CellId(static_cast<std::uint32_t>(i));
   }
+  order_stale_ = false;
 }
 
 }  // namespace rlccd

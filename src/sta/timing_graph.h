@@ -10,7 +10,8 @@
 //
 // The structure is maintained *incrementally*: `apply_structural` integrates
 // newly added cells and re-levels only the fan-out of journaled structural
-// edits via a worklist, instead of rebuilding the whole order. Endpoints
+// edits via a worklist; it does no whole-design work. The level order only
+// the full passes read is rebuilt when `order()` is next called. Endpoints
 // (flop D pins, primary-output pins) are tracked here as well.
 #pragma once
 
@@ -45,8 +46,9 @@ class TimingGraph {
     return level_[cell.index()];
   }
 
-  // Combinational cells in ascending (level, id) order.
-  [[nodiscard]] std::span<const CellId> order() const { return order_; }
+  // Combinational cells in ascending (level, id) order; rebuilds the order
+  // first when structural edits have re-leveled cells since the last call.
+  [[nodiscard]] std::span<const CellId> order();
 
   // Timing endpoints (flop D pins, primary-output pins) in pin-index order.
   [[nodiscard]] std::span<const PinId> endpoints() const { return endpoints_; }
@@ -68,8 +70,10 @@ class TimingGraph {
                   std::vector<PinId>* new_endpoints);
 
   bool built_ = false;
+  bool order_stale_ = false;             // apply_structural ran since order_
   std::vector<char> is_comb_;            // indexed by cell
   std::vector<std::uint32_t> level_;     // indexed by cell (0 for non-comb)
+  std::vector<char> queued_;             // relevel flags; all 0 between calls
   std::vector<CellId> order_;            // comb cells, ascending level
   std::vector<PinId> endpoints_;         // sorted by pin index
   std::vector<char> endpoint_flag_;      // indexed by pin

@@ -160,6 +160,15 @@ TEST(Telemetry, OutermostCloseMergesIntoGlobalAggregate) {
   EXPECT_GE(inner->count, 1u);
 }
 
+TEST(Telemetry, ResetDropsTheCallersBatchedSpanCloses) {
+  // Five outermost closes stay in this thread's batch (kMergeEvery is 64).
+  for (int i = 0; i < 5; ++i) {
+    RLCCD_SPAN("closed_before_reset");
+  }
+  MetricsRegistry::global().reset();
+  EXPECT_TRUE(MetricsRegistry::global().snapshot().spans.children.empty());
+}
+
 // -- histograms ---------------------------------------------------------------
 
 TEST(Telemetry, HistogramStats) {

@@ -155,6 +155,42 @@ TEST_P(StaIncrementalTest, UpdateMatchesFullRunUnderRandomMutations) {
   EXPECT_GT(inc.stats().incremental_updates, 0u);
 }
 
+// update() re-levels structural edits without rebuilding the level order;
+// a later run() with nothing pending must still walk the current order.
+TEST(StaIncremental, FullRunAfterStructuralUpdateMatchesFreshEngine) {
+  GeneratorConfig cfg;
+  cfg.name = "inc_order";
+  cfg.target_cells = 600;
+  cfg.seed = 4;
+  Design d = generate_design(cfg);
+  Netlist& nl = *d.netlist;
+  Sta inc = d.make_sta();
+  inc.run();
+  Rng rng(11);
+  for (int i = 0; i < 12; ++i) {
+    NetId net(static_cast<std::uint32_t>(
+        rng.uniform_int(std::uint64_t{nl.num_nets()})));
+    insert_buffer(nl, net, rng);
+    inc.update();
+  }
+  EXPECT_GT(inc.stats().relevel_batches, 0u);
+  inc.run();
+
+  Sta ref(&nl, d.sta_config, d.clock_period);
+  ref.run();
+  ASSERT_EQ(inc.endpoints().size(), ref.endpoints().size());
+  for (std::uint32_t i = 0; i < nl.num_pins(); ++i) {
+    const PinTiming ti = inc.timing(PinId(i));
+    const PinTiming tr = ref.timing(PinId(i));
+    ASSERT_EQ(ti.reachable, tr.reachable) << "pin " << i;
+    ASSERT_EQ(ti.required, tr.required) << "pin " << i;
+    if (!tr.reachable) continue;
+    ASSERT_EQ(ti.arrival_max, tr.arrival_max) << "pin " << i;
+    ASSERT_EQ(ti.arrival_min, tr.arrival_min) << "pin " << i;
+    ASSERT_EQ(ti.slew, tr.slew) << "pin " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, StaIncrementalTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u),
                          [](const ::testing::TestParamInfo<std::uint64_t>& i) {

@@ -159,9 +159,10 @@ int cmd_flow(const Args& args) {
       default_flow_config(work.num_real_cells(), d.clock_period);
   if (args.common.progress) cfg.observer = &g_progress;
   FlowInput input{d.sta_config, d.clock_period, d.die, d.pi_toggles};
+  const double power_begin = compute_power(*d.netlist, d.activity).total();
   FlowResult r = run_placement_flow(work, input, cfg);
   std::printf("begin : WNS %.3f  TNS %.2f  NVE %zu  power %.2f mW\n",
-              r.begin.wns, r.begin.tns, r.begin.nve, r.power_begin.total());
+              r.begin.wns, r.begin.tns, r.begin.nve, power_begin);
   std::printf("final : WNS %.3f  TNS %.2f  NVE %zu  power %.2f mW\n",
               r.final_summary.wns, r.final_summary.tns, r.final_summary.nve,
               r.power_final.total());

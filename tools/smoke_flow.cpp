@@ -59,6 +59,7 @@ int main(int argc, char** argv) {
   TimingSummary begin = sta0.summary();
   std::printf("begin: WNS %.3f TNS %.2f NVE %zu / %zu endpoints\n",
               begin.wns, begin.tns, begin.nve, begin.num_endpoints);
+  const double power_begin = compute_power(nl, design.activity).total();
 
   StderrProgress progress_observer("  ");
   FlowConfig cfg = default_flow_config(nl.num_real_cells(),
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
         "%-12s final WNS %.3f TNS %8.2f NVE %4zu | after_skew TNS %8.2f | "
         "power %.2f->%.2f mW | up %d dn %d buf %d swap %d | %.2fs\n",
         tag, r.final_summary.wns, r.final_summary.tns, r.final_summary.nve,
-        r.after_skew.tns, r.power_begin.total(), r.power_final.total(),
+        r.after_skew.tns, power_begin, r.power_final.total(),
         r.cells_upsized, r.cells_downsized, r.buffers_inserted,
         r.pins_swapped, r.runtime_sec());
     return r;
