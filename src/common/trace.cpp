@@ -9,6 +9,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/contracts.h"
 #include "common/json_writer.h"
 #include "common/telemetry.h"
 
@@ -48,6 +49,8 @@ struct TraceState {
   std::uint64_t dropped = 0;
   std::vector<ForeignEvent> foreign;  // imported child-process events
   double t0_sec = 0.0;
+  // Per slot, its export row or -1. Rows outlive enable(), as a thread's do.
+  std::vector<int> slot_rows;
 
   [[nodiscard]] std::uint64_t buffered() const {
     return std::min<std::uint64_t>(next_seq - first_seq, capacity);
@@ -60,15 +63,16 @@ TraceState& state() {
   return s;
 }
 
-// Process-wide small ids in first-record order: one export row per thread.
-int thread_id() {
-  static std::atomic<int> next{0};
-  thread_local const int id = next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
+// Export rows: process-wide small ids in first-use order, one per thread
+// or per slot (TraceRecorder::set_thread_slot).
+std::atomic<int> g_next_row{0};
+thread_local int t_row = -1;
+
+int new_row() { return g_next_row.fetch_add(1, std::memory_order_relaxed); }
 
 void record_event(std::string_view name, double start_sec, double dur_sec) {
-  const int tid = thread_id();
+  if (t_row < 0) t_row = new_row();
+  const int tid = t_row;
   TraceState& st = state();
   bool overwrote = false;
   {
@@ -158,6 +162,16 @@ void TraceRecorder::enable(std::size_t capacity) {
 
 void TraceRecorder::disable() {
   trace_detail::g_trace_enabled.store(false, std::memory_order_release);
+}
+
+void TraceRecorder::set_thread_slot(int slot) {
+  RLCCD_EXPECTS(slot >= 0);
+  TraceState& st = state();
+  std::lock_guard<std::mutex> lock(st.mutex);
+  const auto i = static_cast<std::size_t>(slot);
+  if (st.slot_rows.size() <= i) st.slot_rows.resize(i + 1, -1);
+  if (st.slot_rows[i] < 0) st.slot_rows[i] = new_row();
+  t_row = st.slot_rows[i];
 }
 
 void TraceRecorder::record_complete(std::string_view name, double start_sec,

@@ -41,7 +41,7 @@ struct TraceEvent {
   // are truncated; every current span and marker name fits.
   static constexpr std::size_t kMaxName = 43;
   char name[kMaxName + 1];
-  std::int32_t tid;  // small per-process id of the recording thread
+  std::int32_t tid;  // export row: the recording thread's, or its slot's
   double start_sec;  // steady-clock seconds
   double dur_sec;    // < 0: instant event
 };
@@ -112,6 +112,13 @@ class TraceRecorder {
   [[nodiscard]] double t0_sec() const;
 
   static constexpr std::size_t kMaxForeignEvents = 1 << 20;
+
+  // From now on, the calling thread's events go on the export row of `slot`
+  // (>= 0) instead of its own row: threads that take turns at one job, such
+  // as a trainer's worker w, started afresh every iteration, share one row.
+  // Rows are small ids in first-use order, a slot's drawn from the same
+  // sequence as a thread's, so the two never collide.
+  static void set_thread_slot(int slot);
 
   // Record-path hooks; prefer the macros below. No-ops unless enabled.
   static void record_complete(std::string_view name, double start_sec,

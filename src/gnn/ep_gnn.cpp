@@ -116,16 +116,13 @@ Tensor EpGnn::Encoder::encode(const Tensor& x,
     n.proj = ops::linear(*h, proj.weight(), proj.bias(),
                          rows_of(n.proj, in_, l));
     check(n.proj, in_);
-    n.self = ops::scale_by_scalar(n.proj, gamma, rows_of(n.self, in_, l));
     n.neigh = ops::spmm(*adj_, *h, rows_of(n.neigh, neigh_, l));
     check(n.neigh, neigh_);
     n.agg = ops::linear(n.neigh, agg.weight(), agg.bias(),
                         rows_of(n.agg, neigh_, l));
     check(n.agg, neigh_);
-    n.agg_scaled = ops::scale_by_scalar(n.agg, one_minus,
-                                        rows_of(n.agg_scaled, neigh_, l));
-    n.pre = ops::add(n.self, n.agg_scaled, rows_of(n.pre, out_rows_, l));
-    n.h = ops::sigmoid(n.pre, rows_of(n.h, out_rows_, l));
+    n.h = ops::gated_sigmoid(n.proj, n.agg, gamma, one_minus,
+                             rows_of(n.h, out_rows_, l));
     check(n.h, out_rows_);
     h = &n.h;
     std::swap(in_, out_rows_);

@@ -99,7 +99,7 @@ class EpGnn {
     // One layer's op outputs: the previous step's until encode() replaces
     // them.
     struct Layer {
-      Tensor proj, self, neigh, agg, agg_scaled, pre, h;
+      Tensor proj, neigh, agg, h;
     };
 
     // Per layer output, then the head: the rows whose gradient can be

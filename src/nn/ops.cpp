@@ -68,40 +68,56 @@ const RowList* live_subset(const std::shared_ptr<const RowList>& live,
 // Dense kernels (DESIGN.md Sec. 5, "Dense kernels").
 //
 // matmul's three products -- out = A*B, dA += dO*B^T, dB += A^T*dO -- all run
-// on one register tile: kTileRows rows x kTileCols columns of the result stay
-// in vector registers for the whole reduction, and each reduction step adds
-// one term per element. Every element still adds its terms one at a time, in
-// the order of the textbook loops, from the same starting value and with the
+// on one register tile: R rows x C columns of the result stay in vector
+// registers for the whole reduction, and each reduction step adds one term
+// per element. Every element still adds its terms one at a time, in the
+// order of the textbook loops, from the same starting value and with the
 // same `a == 0` skips; only how many elements are in flight changes. Under
 // the build's -ffp-contract=off the results are therefore bit-identical to
-// the textbook loops (tests/nn/ops_kernel_test.cpp keeps them as reference).
+// the textbook loops, whatever the tile's shape and the lanes' width
+// (tests/nn/ops_kernel_test.cpp keeps them as reference).
 
-constexpr std::size_t kTileRows = 4;
-constexpr std::size_t kTileCols = 16;
-// Lanes is one vector register of the target, a tile row kRowVecs of them:
-// 256 bits with AVX (also what GCC prefers on AVX-512 parts), else 128 bits
-// (SSE2, NEON; builds without -march=native). A generic vector wider than
-// the target's registers is lowered through memory and runs slower than the
-// textbook loops. The width never changes results, only speed.
-#if defined(__AVX__)
+// Lanes is one vector register of the target: 512 bits with AVX-512, 256
+// with AVX, else 128 (SSE2, NEON; builds without -march=native). A generic
+// vector wider than the target's registers is lowered through memory and
+// runs slower than the textbook loops.
+#if defined(__AVX512F__)
+constexpr std::size_t kLaneWidth = 16;
+constexpr std::size_t kVectorRegisters = 32;
+#elif defined(__AVX__)
 constexpr std::size_t kLaneWidth = 8;
+constexpr std::size_t kVectorRegisters = 16;
 #else
 constexpr std::size_t kLaneWidth = 4;
+constexpr std::size_t kVectorRegisters = 16;
 #endif
-constexpr std::size_t kRowVecs = kTileCols / kLaneWidth;
 using Lanes = float __attribute__((vector_size(kLaneWidth * sizeof(float))));
 
-using Tile = float[kTileCols];
+// Column tiles are 32 wide -- the hidden width of every EP-GNN, LSTM and
+// attention product -- while 32 columns remain, then 16 wide.
+constexpr std::size_t kWideCols = 32;
+constexpr std::size_t kNarrowCols = 16;
+
+// Rows of a C-column tile, 1 to 4: as many as keep its accumulators in
+// half the vector registers; the rest hold the reduction step's row of
+// lanes. A 4 x 32 tile of 256-bit lanes would spill on AVX2's 16.
+template <std::size_t C>
+constexpr std::size_t kTileRows = std::clamp<std::size_t>(
+    kVectorRegisters / 2 / (C / kLaneWidth), 1, 4);
+
+template <std::size_t C>
+using Tile = float[C];
 
 // tile[r][:] += sum_t s[r][t' * s_step] * row_t'[:], t ascending, where
-// row_t' = rows + t' * row_step holds kTileCols floats and t' is t, or
-// t_rows[t] when kListed. With kSkipZero a term whose scalar is 0 is
-// skipped, as the textbook loops skip `a == 0`.
-template <std::size_t R, bool kSkipZero, bool kListed = false>
-void accumulate_tile(Tile (&tile)[R], const float* const (&s)[R],
+// row_t' = rows + t' * row_step holds C floats and t' is t, or t_rows[t]
+// when kListed. With kSkipZero a term whose scalar is 0 is skipped, as the
+// textbook loops skip `a == 0`.
+template <std::size_t R, std::size_t C, bool kSkipZero, bool kListed = false>
+void accumulate_tile(Tile<C> (&tile)[R], const float* const (&s)[R],
                      std::size_t s_step, const float* rows,
                      std::size_t row_step, std::size_t steps,
                      const std::uint32_t* t_rows = nullptr) {
+  constexpr std::size_t kRowVecs = C / kLaneWidth;
   Lanes acc[R][kRowVecs];
   for (std::size_t r = 0; r < R; ++r) {
     for (std::size_t q = 0; q < kRowVecs; ++q) {
@@ -130,35 +146,49 @@ void accumulate_tile(Tile (&tile)[R], const float* const (&s)[R],
   }
 }
 
-// Calls f(rows_in_tile, first_row) over [0, n): whole kTileRows tiles, then
-// single rows. rows_in_tile is a std::integral_constant.
+// Calls f(cols, j0) over the column tiles of [0, n): kWideCols tiles, then
+// kNarrowCols tiles, the last one partial. cols is a std::integral_constant.
 template <class F>
-void for_each_row_tile(std::size_t n, F&& f) {
-  std::size_t r = 0;
-  for (; r + kTileRows <= n; r += kTileRows) {
-    f(std::integral_constant<std::size_t, kTileRows>{}, r);
+void for_each_col_tile(std::size_t n, F&& f) {
+  std::size_t j0 = 0;
+  for (; j0 + kWideCols <= n; j0 += kWideCols) {
+    f(std::integral_constant<std::size_t, kWideCols>{}, j0);
   }
+  for (; j0 < n; j0 += kNarrowCols) {
+    f(std::integral_constant<std::size_t, kNarrowCols>{}, j0);
+  }
+}
+
+// Calls f(rows_in_tile, first_row) over [0, n): whole kTileRows<C> tiles,
+// then single rows. rows_in_tile is a std::integral_constant.
+template <std::size_t C, class F>
+void for_each_row_tile(std::size_t n, F&& f) {
+  constexpr std::size_t R = kTileRows<C>;
+  std::size_t r = 0;
+  for (; r + R <= n; r += R) f(std::integral_constant<std::size_t, R>{}, r);
   for (; r < n; ++r) f(std::integral_constant<std::size_t, 1>{}, r);
 }
 
 // out[m,n] = a[m,k] * b[k,n] (+ bias[n] on every row). Column tiles of b are
-// packed, zero-padded to kTileCols, so a tail tile runs the same kernel.
+// packed, zero-padded to the tile's width, so a tail tile runs the same
+// kernel.
 void gemm_forward(const float* a, const float* b, const float* bias,
                   float* out, std::size_t m, std::size_t k, std::size_t n) {
-  std::vector<float> panel(k * kTileCols);
-  for (std::size_t j0 = 0; j0 < n; j0 += kTileCols) {
-    const std::size_t cols = std::min(kTileCols, n - j0);
+  std::vector<float> panel(k * kWideCols);
+  for_each_col_tile(n, [&](auto tile_cols, std::size_t j0) {
+    constexpr std::size_t C = decltype(tile_cols)::value;
+    const std::size_t cols = std::min(C, n - j0);
     for (std::size_t kk = 0; kk < k; ++kk) {
-      for (std::size_t c = 0; c < kTileCols; ++c) {
-        panel[kk * kTileCols + c] = c < cols ? b[kk * n + j0 + c] : 0.0f;
+      for (std::size_t c = 0; c < C; ++c) {
+        panel[kk * C + c] = c < cols ? b[kk * n + j0 + c] : 0.0f;
       }
     }
-    for_each_row_tile(m, [&](auto rows, std::size_t i0) {
+    for_each_row_tile<C>(m, [&](auto rows, std::size_t i0) {
       constexpr std::size_t R = decltype(rows)::value;
       const float* a_rows[R];
       for (std::size_t r = 0; r < R; ++r) a_rows[r] = a + (i0 + r) * k;
-      Tile tile[R] = {};
-      accumulate_tile<R, true>(tile, a_rows, 1, panel.data(), kTileCols, k);
+      Tile<C> tile[R] = {};
+      accumulate_tile<R, C, true>(tile, a_rows, 1, panel.data(), C, k);
       for (std::size_t r = 0; r < R; ++r) {
         float* orow = out + (i0 + r) * n + j0;
         for (std::size_t c = 0; c < cols; ++c) {
@@ -166,7 +196,7 @@ void gemm_forward(const float* a, const float* b, const float* bias,
         }
       }
     });
-  }
+  });
 }
 
 // da[m,k] += dout[m,n] * b[k,n]^T. Vectorized across k over a packed B^T:
@@ -175,16 +205,17 @@ void gemm_forward(const float* a, const float* b, const float* bias,
 // `only`, just the listed rows of dout and da.
 void gemm_grad_a(const float* dout, const float* b, float* da, std::size_t m,
                  std::size_t k, std::size_t n, const RowList* only) {
-  std::vector<float> panel(n * kTileCols);
-  for (std::size_t kk0 = 0; kk0 < k; kk0 += kTileCols) {
-    const std::size_t cols = std::min(kTileCols, k - kk0);
+  std::vector<float> panel(n * kWideCols);
+  for_each_col_tile(k, [&](auto tile_cols, std::size_t kk0) {
+    constexpr std::size_t C = decltype(tile_cols)::value;
+    const std::size_t cols = std::min(C, k - kk0);
     for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t c = 0; c < kTileCols; ++c) {
-        panel[j * kTileCols + c] = c < cols ? b[(kk0 + c) * n + j] : 0.0f;
+      for (std::size_t c = 0; c < C; ++c) {
+        panel[j * C + c] = c < cols ? b[(kk0 + c) * n + j] : 0.0f;
       }
     }
-    for_each_row_tile(only != nullptr ? only->size() : m,
-                      [&](auto rows, std::size_t i0) {
+    for_each_row_tile<C>(only != nullptr ? only->size() : m,
+                         [&](auto rows, std::size_t i0) {
       constexpr std::size_t R = decltype(rows)::value;
       std::size_t row[R];
       const float* dout_rows[R];
@@ -192,56 +223,56 @@ void gemm_grad_a(const float* dout, const float* b, float* da, std::size_t m,
         row[r] = only != nullptr ? (*only)[i0 + r] : i0 + r;
         dout_rows[r] = dout + row[r] * n;
       }
-      Tile tile[R] = {};
-      accumulate_tile<R, false>(tile, dout_rows, 1, panel.data(), kTileCols,
-                                n);
+      Tile<C> tile[R] = {};
+      accumulate_tile<R, C, false>(tile, dout_rows, 1, panel.data(), C, n);
       for (std::size_t r = 0; r < R; ++r) {
         float* darow = da + row[r] * k + kk0;
         for (std::size_t c = 0; c < cols; ++c) darow[c] += tile[r][c];
       }
     });
-  }
+  });
 }
 
 // db[k,n] += a[m,k]^T * dout[m,n]: a tile of db rows is loaded from the
 // existing grad and the i-ordered products are added onto it, over the rows
-// in `only` when given. A tail column tile reads a zero-padded copy of its
-// dout columns.
+// in `only` when given. A partial column tile reads a zero-padded copy of
+// its dout columns.
 void gemm_grad_b(const float* a, const float* dout, float* db, std::size_t m,
                  std::size_t k, std::size_t n, const RowList* only) {
   if (m == 0 || (only != nullptr && only->empty())) return;
   std::vector<float> panel;
-  for (std::size_t j0 = 0; j0 < n; j0 += kTileCols) {
-    const std::size_t cols = std::min(kTileCols, n - j0);
+  for_each_col_tile(n, [&](auto tile_cols, std::size_t j0) {
+    constexpr std::size_t C = decltype(tile_cols)::value;
+    const std::size_t cols = std::min(C, n - j0);
     const float* g = dout + j0;
     std::size_t g_step = n;
-    if (cols < kTileCols) {
-      panel.assign(m * kTileCols, 0.0f);
+    if (cols < C) {
+      panel.assign(m * C, 0.0f);
       for (std::size_t i = 0; i < m; ++i) {
-        std::copy_n(dout + i * n + j0, cols, panel.data() + i * kTileCols);
+        std::copy_n(dout + i * n + j0, cols, panel.data() + i * C);
       }
       g = panel.data();
-      g_step = kTileCols;
+      g_step = C;
     }
-    for_each_row_tile(k, [&](auto rows, std::size_t kk0) {
+    for_each_row_tile<C>(k, [&](auto rows, std::size_t kk0) {
       constexpr std::size_t R = decltype(rows)::value;
       const float* a_cols[R];
-      Tile tile[R] = {};
+      Tile<C> tile[R] = {};
       for (std::size_t r = 0; r < R; ++r) {
         a_cols[r] = a + kk0 + r;
         std::copy_n(db + (kk0 + r) * n + j0, cols, tile[r]);
       }
       if (only != nullptr) {
-        accumulate_tile<R, true, true>(tile, a_cols, k, g, g_step,
-                                       only->size(), only->data());
+        accumulate_tile<R, C, true, true>(tile, a_cols, k, g, g_step,
+                                          only->size(), only->data());
       } else {
-        accumulate_tile<R, true>(tile, a_cols, k, g, g_step, m);
+        accumulate_tile<R, C, true>(tile, a_cols, k, g, g_step, m);
       }
       for (std::size_t r = 0; r < R; ++r) {
         std::copy_n(tile[r], cols, db + (kk0 + r) * n + j0);
       }
     });
-  }
+  });
 }
 
 // a * b, plus `bias` broadcast over rows when given (ops::linear).
@@ -454,84 +485,91 @@ Tensor affine(const Tensor& a, float alpha, float beta) {
   return out;
 }
 
-Tensor scale_by_scalar(const Tensor& a, const Tensor& s,
-                       const OutRows& rows) {
-  RLCCD_EXPECTS(s.size() == 1);
-  Tensor out = make_output(a.rows(), a.cols(), {a.ptr(), s.ptr()}, rows);
-  TensorImpl* ai = a.ptr().get();
-  TensorImpl* si = s.ptr().get();
-  TensorImpl* oi = out.ptr().get();
-  const float sv = si->value[0];
-  const std::size_t n = a.cols();
-  for_each_out_row(rows, a.rows(), [&](std::size_t r) {
-    for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
-      oi->value[i] = sv * ai->value[i];
-    }
-  });
-  if (oi->requires_grad) {
-    const std::size_t m = a.rows();
-    oi->backward_fn = [ai, si, oi, m, n, live = checked_live(rows, m)]() {
-      const RowList* visit = live_subset(live, m);
-      const float sv = si->value[0];
-      if (wants_grad(ai)) {
-        ai->ensure_grad();
-        for_each_row(visit, m, [&](std::size_t r) {
-          for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
-            ai->grad[i] += sv * oi->grad[i];
-          }
-        });
-      }
-      if (wants_grad(si)) {
-        si->ensure_grad();
-        // One serial sum in ascending element order.
-        float acc = 0.0f;
-        for_each_row(visit, m, [&](std::size_t r) {
-          for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
-            acc += ai->value[i] * oi->grad[i];
-          }
-        });
-        si->grad[0] += acc;
-      }
-    };
-  }
-  return out;
-}
-
 namespace {
 
 template <class Fwd, class Dfn>
-Tensor unary_op(const Tensor& a, Fwd fwd, Dfn dfn, const OutRows& rows = {}) {
-  Tensor out = make_output(a.rows(), a.cols(), {a.ptr()}, rows);
+Tensor unary_op(const Tensor& a, Fwd fwd, Dfn dfn) {
+  Tensor out = make_result(a.rows(), a.cols(), {a.ptr()});
   TensorImpl* ai = a.ptr().get();
   TensorImpl* oi = out.ptr().get();
-  const std::size_t n = a.cols();
-  for_each_out_row(rows, a.rows(), [&](std::size_t r) {
-    for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
-      oi->value[i] = fwd(ai->value[i]);
-    }
-  });
+  for (std::size_t i = 0; i < oi->size(); ++i) {
+    oi->value[i] = fwd(ai->value[i]);
+  }
   if (oi->requires_grad) {
-    const std::size_t m = a.rows();
-    oi->backward_fn = [ai, oi, dfn, m, n, live = checked_live(rows, m)]() {
+    oi->backward_fn = [ai, oi, dfn]() {
       if (!wants_grad(ai)) return;
       ai->ensure_grad();
-      for_each_row(live_subset(live, m), m, [&](std::size_t r) {
-        for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
-          // dfn receives (input, output) so e.g. sigmoid can reuse y.
-          ai->grad[i] += oi->grad[i] * dfn(ai->value[i], oi->value[i]);
-        }
-      });
+      for (std::size_t i = 0; i < oi->size(); ++i) {
+        // dfn receives (input, output) so e.g. sigmoid can reuse y.
+        ai->grad[i] += oi->grad[i] * dfn(ai->value[i], oi->value[i]);
+      }
     };
   }
   return out;
 }
 
+float sigmoid_of(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+
 }  // namespace
 
-Tensor sigmoid(const Tensor& a, const OutRows& rows) {
+Tensor sigmoid(const Tensor& a) {
   return unary_op(
-      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float, float y) { return y * (1.0f - y); }, rows);
+      a, [](float x) { return sigmoid_of(x); },
+      [](float, float y) { return y * (1.0f - y); });
+}
+
+Tensor gated_sigmoid(const Tensor& proj, const Tensor& agg,
+                     const Tensor& gamma, const Tensor& one_minus,
+                     const OutRows& rows) {
+  RLCCD_EXPECTS(proj.rows() == agg.rows() && proj.cols() == agg.cols());
+  RLCCD_EXPECTS(gamma.size() == 1 && one_minus.size() == 1);
+  const std::size_t m = proj.rows(), n = proj.cols();
+  // proj before agg, so the backward's topological order still runs agg's
+  // producers before proj's: the layer input's gradient takes the
+  // neighbour sum's terms before the projection's, as it did for the chain.
+  Tensor out = make_output(
+      m, n, {proj.ptr(), agg.ptr(), gamma.ptr(), one_minus.ptr()}, rows);
+  TensorImpl* pi = proj.ptr().get();
+  TensorImpl* ai = agg.ptr().get();
+  TensorImpl* gi = gamma.ptr().get();
+  TensorImpl* oi = one_minus.ptr().get();
+  TensorImpl* hi = out.ptr().get();
+  const float g = gi->value[0], om = oi->value[0];
+  for_each_out_row(rows, m, [&](std::size_t r) {
+    for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
+      const float self = g * pi->value[i];
+      const float scaled = om * ai->value[i];
+      hi->value[i] = sigmoid_of(self + scaled);
+    }
+  });
+  if (hi->requires_grad) {
+    hi->backward_fn = [pi, ai, gi, oi, hi, m, n,
+                       live = checked_live(rows, m)]() {
+      const bool to_proj = wants_grad(pi), to_agg = wants_grad(ai);
+      const bool to_gamma = wants_grad(gi), to_one_minus = wants_grad(oi);
+      for (TensorImpl* t : {pi, ai, gi, oi}) {
+        if (wants_grad(t)) t->ensure_grad();
+      }
+      const float g = gi->value[0], om = oi->value[0];
+      // Two serial sums, one per scalar, each in ascending element order.
+      float acc_gamma = 0.0f, acc_one_minus = 0.0f;
+      for_each_row(live_subset(live, m), m, [&](std::size_t r) {
+        for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
+          const float y = hi->value[i];
+          // The gradient the chain's pre-activation node held: a fresh +0
+          // plus the sigmoid's term, so never -0.
+          const float d = 0.0f + hi->grad[i] * (y * (1.0f - y));
+          if (to_proj) pi->grad[i] += g * d;
+          if (to_agg) ai->grad[i] += om * d;
+          acc_gamma += pi->value[i] * d;
+          acc_one_minus += ai->value[i] * d;
+        }
+      });
+      if (to_gamma) gi->grad[0] += acc_gamma;
+      if (to_one_minus) oi->grad[0] += acc_one_minus;
+    };
+  }
+  return out;
 }
 
 Tensor tanh_op(const Tensor& a) {

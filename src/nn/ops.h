@@ -1,6 +1,9 @@
 // Differentiable operations over Tensor (see nn/tensor.h). All ops validate
 // shapes with contracts and register exact backward closures; gradients are
-// verified against finite differences in the test suite.
+// verified against finite differences in the test suite. matmul and linear
+// run register-tiled kernels whose tile the output's width and the
+// target's vector registers choose; their results equal the textbook loops
+// bit for bit whatever the tile (DESIGN.md Sec. 5, "Dense kernels").
 #pragma once
 
 #include <cstdint>
@@ -13,9 +16,9 @@
 namespace rlccd::ops {
 
 // Which output rows an op computes, and which rows its backward visits.
-// linear, add, scale_by_scalar, sigmoid and spmm take one; gather_rows takes
-// only `live`. The default computes every row into fresh storage and
-// backwards every row.
+// linear, add, gated_sigmoid and spmm take one; gather_rows takes only
+// `live`. The default computes every row into fresh storage and backwards
+// every row.
 //
 // With `prior` set, the output takes over prior's value storage instead and
 // recomputes only the rows in `dirty`; the other rows keep prior's values.
@@ -55,14 +58,20 @@ Tensor sub(const Tensor& a, const Tensor& b);              // elementwise
 Tensor mul(const Tensor& a, const Tensor& b);              // elementwise
 Tensor add_rowvec(const Tensor& a, const Tensor& row);     // [m,n] + [1,n]
 Tensor affine(const Tensor& a, float alpha, float beta);   // alpha*a + beta
-// Broadcast-scale by a 1x1 tensor: out = a * s (gradient flows into both).
-Tensor scale_by_scalar(const Tensor& a, const Tensor& s,
-                       const OutRows& rows = {});
 
 // Nonlinearities.
-Tensor sigmoid(const Tensor& a, const OutRows& rows = {});
+Tensor sigmoid(const Tensor& a);
 Tensor tanh_op(const Tensor& a);
 Tensor relu(const Tensor& a);
+// EP-GNN Eq. 2's gate as one node: sigmoid(gamma * proj + one_minus * agg)
+// elementwise, with gamma and one_minus 1x1. Value and all four gradients
+// are bit-identical to sigmoid(add(proj * gamma, agg * one_minus)) built
+// from scalar-scale nodes: the same float operations per element, and each
+// scalar's gradient one serial sum over the visited elements in ascending
+// order, the two sums kept apart.
+Tensor gated_sigmoid(const Tensor& proj, const Tensor& agg,
+                     const Tensor& gamma, const Tensor& one_minus,
+                     const OutRows& rows = {});
 
 // Reductions / reshaping.
 Tensor sum(const Tensor& a);                       // -> 1x1

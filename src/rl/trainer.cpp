@@ -474,6 +474,8 @@ TrainStats ReinforceTrainer::train() {
       std::vector<std::thread> threads;
       for (int w = 0; w < config_.workers; ++w) {
         threads.emplace_back([&, w]() {
+          // One trace row per worker slot, not one per iteration's thread.
+          TraceRecorder::set_thread_slot(w);
           // Per-worker span: each worker thread owns its own span tree, so
           // eight concurrent rollouts aggregate without contention.
           RLCCD_SPAN("rollout");

@@ -179,6 +179,38 @@ TEST_F(TraceTest, WorkerThreadEventsSurviveJoin) {
       << "each thread exports its own timeline row";
 }
 
+TEST_F(TraceTest, ThreadsOfOneSlotShareARowApartFromThreadRows) {
+  // Two short-lived threads take turns at slot 0, as a trainer's worker 0
+  // does across iterations; a third records as slot 1 and a fourth as
+  // itself.
+  TraceRecorder& rec = TraceRecorder::global();
+  rec.enable();
+  RLCCD_TRACE_INSTANT("main");
+  auto run = [](int slot, const char* name) {
+    std::thread t([slot, name] {
+      if (slot >= 0) TraceRecorder::set_thread_slot(slot);
+      RLCCD_TRACE_INSTANT(name);
+    });
+    t.join();
+  };
+  run(0, "slot0_first");
+  run(0, "slot0_second");
+  run(1, "slot1");
+  run(-1, "own_row");
+  rec.disable();
+
+  JsonValue doc = parse_trace(rec);
+  auto row = [&](const char* name) {
+    const JsonValue* ev = find_event(doc, name);
+    EXPECT_NE(ev, nullptr) << name;
+    return ev != nullptr ? ev->number_or("tid", -1.0) : -1.0;
+  };
+  EXPECT_EQ(row("slot0_first"), row("slot0_second"));
+  const std::set<double> rows = {row("main"), row("slot0_first"),
+                                 row("slot1"), row("own_row")};
+  EXPECT_EQ(rows.size(), 4u) << "slot rows never collide with thread rows";
+}
+
 TEST_F(TraceTest, MacrosDoNotEvaluateArgumentsWhenDisabled) {
   // The runtime gate must short-circuit before any work happens; building
   // the name below would be visible as a buffered event if it did not.

@@ -96,11 +96,15 @@ TEST_P(GradCheck, SigmoidTanhRelu) {
   gradcheck({x}, [&] { return ops::mean(ops::relu(ops::affine(x, 1.0f, 0.3f))); });
 }
 
-TEST_P(GradCheck, ScaleByScalar) {
+TEST_P(GradCheck, GatedSigmoid) {
   Rng rng(GetParam().seed + 4);
-  Tensor a = random_tensor(GetParam().m, GetParam().n, rng);
-  Tensor s = random_tensor(1, 1, rng);
-  gradcheck({a, s}, [&] { return ops::sum(ops::scale_by_scalar(a, s)); });
+  Tensor proj = random_tensor(GetParam().m, GetParam().n, rng);
+  Tensor agg = random_tensor(GetParam().m, GetParam().n, rng);
+  Tensor gamma = random_tensor(1, 1, rng);
+  Tensor one_minus = random_tensor(1, 1, rng);
+  gradcheck({proj, agg, gamma, one_minus}, [&] {
+    return ops::sum(ops::gated_sigmoid(proj, agg, gamma, one_minus));
+  });
 }
 
 TEST_P(GradCheck, GatherAndConcat) {

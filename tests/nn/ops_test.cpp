@@ -104,11 +104,14 @@ TEST(Ops, MaskedLogSoftmaxStableForLargeScores) {
   EXPECT_NEAR(std::exp(lp.at(0, 0)) + std::exp(lp.at(1, 0)), 1.0, 1e-3);
 }
 
-TEST(Ops, ScaleByScalar) {
-  Tensor a = Tensor::from_data({1, 2}, 1, 2);
-  Tensor s = Tensor::scalar(3.0f);
-  Tensor c = ops::scale_by_scalar(a, s);
-  EXPECT_FLOAT_EQ(c.at(0, 1), 6.0f);
+TEST(Ops, GatedSigmoid) {
+  // sigmoid(0.25 * proj + 0.75 * agg): 0.25 * 2 + 0.75 * -2 = -1.
+  Tensor proj = Tensor::from_data({1, 2}, 1, 2);
+  Tensor agg = Tensor::from_data({0, -2}, 1, 2);
+  Tensor h = ops::gated_sigmoid(proj, agg, Tensor::scalar(0.25f),
+                                Tensor::scalar(0.75f));
+  EXPECT_FLOAT_EQ(h.at(0, 0), 1.0f / (1.0f + std::exp(-0.25f)));
+  EXPECT_FLOAT_EQ(h.at(0, 1), 1.0f / (1.0f + std::exp(1.0f)));
 }
 
 TEST(Ops, SpmmMatchesDense) {
