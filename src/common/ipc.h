@@ -12,18 +12,24 @@
 // stream or wedges a reader. The serve daemon reuses the same frames over
 // Unix-domain sockets (serve/protocol.h).
 //
-// The codec helpers (ipc_append_pod / ipc_parse_pod / ipc_parse_count / ...)
-// are the byte-level vocabulary of all five binary formats: the rollout
-// wire (rl/isolation/wire), ObsDelta frames (common/telemetry_wire), the
-// serve protocol (serve/protocol), training checkpoints (rl/checkpoint) and
-// EP-GNN parameter files (nn/serialize). Their decoders return a Status on
-// bad bytes and never throw: every count-prefixed list reads its count
-// through ipc_parse_count, which rejects a count whose items cannot fit in
-// the bytes left before anything is allocated.
+// Five binary formats sit on the codec: the rollout wire
+// (rl/isolation/wire), ObsDelta frames (common/telemetry_wire), the serve
+// protocol (serve/protocol), training checkpoints (rl/checkpoint) and EP-GNN
+// parameter files (nn/serialize). Each states its layout once, as a field
+// list: a function template over a walker that names every field in wire
+// order, with its wire width and, for each list, its count width and
+// smallest encoded item size. ByteWriter walks a field list over a const
+// value and appends each field; ByteReader walks it over a mutable value
+// and parses each field, so a format's encoder and decoder cannot disagree.
+// Decoding returns a Status on bad bytes and never throws: every list count
+// is read through ipc_parse_count, which rejects a count whose items cannot
+// fit in the bytes left before anything is allocated. The ipc_append_* /
+// ipc_parse_* helpers under the walkers stay public for one-off payloads.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -79,6 +85,165 @@ Status ipc_parse_string(std::string_view bytes, std::size_t& offset,
 void ipc_append_float_vec(std::string& out, const std::vector<float>& v);
 Status ipc_parse_float_vec(std::string_view bytes, std::size_t& offset,
                            std::vector<float>& v, const char* what);
+
+// -- field lists --------------------------------------------------------------
+
+// The wire width a field list gives a value (ByteWriter/ByteReader::as) or a
+// list's item count (list, count): as(kU64, summary.nve, "nve").
+template <class T>
+struct WireWidth {};
+inline constexpr WireWidth<std::uint8_t> kU8{};
+inline constexpr WireWidth<std::uint32_t> kU32{};
+inline constexpr WireWidth<std::uint64_t> kU64{};
+inline constexpr WireWidth<std::int32_t> kI32{};
+inline constexpr WireWidth<std::int64_t> kI64{};
+
+// Appends the fields a field list names. Every method returns OK, so a
+// field list's status on the write side reflects only its own checks (a
+// version byte, a depth cap), which hold for every value the program builds.
+// `what`, `min_item_bytes` and `max_items` matter only to the reader.
+class ByteWriter {
+ public:
+  explicit ByteWriter(std::string& out) : out_(out) {}
+
+  template <class T>
+  Status pod(const T& v, const char* /*what*/) {
+    ipc_append_pod(out_, v);
+    return Status();
+  }
+  template <class Wire, class T>
+  Status as(WireWidth<Wire>, const T& v, const char* /*what*/) {
+    ipc_append_pod(out_, static_cast<Wire>(v));
+    return Status();
+  }
+  template <class E>
+  Status enum8(const E& v, E /*max*/, const char* /*what*/) {
+    ipc_append_pod(out_, static_cast<std::uint8_t>(v));
+    return Status();
+  }
+  Status string(std::string_view s, const char* /*what*/) {
+    ipc_append_string(out_, s);
+    return Status();
+  }
+  // A u64 count, then the values.
+  Status floats(const std::vector<float>& v, const char* /*what*/) {
+    ipc_append_float_vec(out_, v);
+    return Status();
+  }
+  // Exactly `n` values, no count: the reader knows n.
+  Status floats(const float* data, std::size_t n, const char* /*what*/) {
+    if (n > 0) {
+      out_.append(reinterpret_cast<const char*>(data), n * sizeof(float));
+    }
+    return Status();
+  }
+  // The item count at `Count` width, then `item(x)` for each item x.
+  template <class Count, class C, class F>
+  Status list(WireWidth<Count>, const C& items,
+              std::size_t /*min_item_bytes*/, const char* /*what*/, F&& item,
+              std::size_t /*max_items*/ = 0) {
+    ipc_append_pod(out_, static_cast<Count>(items.size()));
+    for (const auto& x : items) RLCCD_TRY(item(x));
+    return Status();
+  }
+  // One count `n` at `Count` width shared by parallel containers, whose
+  // items the field list then walks itself (interleaved, or checked
+  // against live objects).
+  template <class Count, class... C>
+  Status count(WireWidth<Count>, std::size_t n,
+               std::size_t /*min_item_bytes*/, const char* /*what*/,
+               const C&... /*parallel*/) {
+    ipc_append_pod(out_, static_cast<Count>(n));
+    return Status();
+  }
+  Status finish() { return Status(); }
+
+ private:
+  std::string& out_;
+};
+
+// Parses the fields a field list names, from `offset` on. Each read fails
+// with a corrupt Status on truncation; enum8 also on a value above `max`,
+// list and count on a count that cannot fit in the bytes left (or exceeds
+// `max_items`), before any container grows; finish() on trailing bytes.
+class ByteReader {
+ public:
+  explicit ByteReader(std::string_view bytes, std::size_t offset = 0)
+      : bytes_(bytes), offset_(offset) {}
+
+  template <class T>
+  Status pod(T& v, const char* what) {
+    return ipc_parse_pod(bytes_, offset_, v, what);
+  }
+  template <class Wire, class T>
+  Status as(WireWidth<Wire>, T& v, const char* what) {
+    Wire wire{};
+    RLCCD_TRY(ipc_parse_pod(bytes_, offset_, wire, what));
+    v = static_cast<T>(wire);
+    return Status();
+  }
+  template <class E>
+  Status enum8(E& v, E max, const char* what) {
+    std::uint8_t raw = 0;
+    RLCCD_TRY(ipc_parse_pod(bytes_, offset_, raw, what));
+    if (raw > static_cast<std::uint8_t>(max)) {
+      return Status::corrupt("unknown %s %u", what, raw);
+    }
+    v = static_cast<E>(raw);
+    return Status();
+  }
+  Status string(std::string& s, const char* what) {
+    return ipc_parse_string(bytes_, offset_, s, what);
+  }
+  Status floats(std::vector<float>& v, const char* what) {
+    return ipc_parse_float_vec(bytes_, offset_, v, what);
+  }
+  Status floats(float* data, std::size_t n, const char* what) {
+    if (n > (bytes_.size() - offset_) / sizeof(float)) {
+      return Status::corrupt("truncated at byte %zu while reading %s",
+                             offset_, what);
+    }
+    if (n > 0) {
+      std::memcpy(data, bytes_.data() + offset_, n * sizeof(float));
+      offset_ += n * sizeof(float);
+    }
+    return Status();
+  }
+  template <class Count, class C, class F>
+  Status list(WireWidth<Count>, C& items, std::size_t min_item_bytes,
+              const char* what, F&& item,
+              std::size_t max_items = std::numeric_limits<std::size_t>::max()) {
+    Count n = 0;
+    RLCCD_TRY(ipc_parse_count(bytes_, offset_, n, min_item_bytes, what));
+    if (n > max_items) {
+      return Status::corrupt("%s %llu exceeds %zu", what,
+                             static_cast<unsigned long long>(n), max_items);
+    }
+    items.resize(n);
+    for (auto& x : items) RLCCD_TRY(item(x));
+    return Status();
+  }
+  template <class Count, class... C>
+  Status count(WireWidth<Count>, std::size_t& n, std::size_t min_item_bytes,
+               const char* what, C&... parallel) {
+    Count wire = 0;
+    RLCCD_TRY(ipc_parse_count(bytes_, offset_, wire, min_item_bytes, what));
+    n = static_cast<std::size_t>(wire);
+    (parallel.resize(n), ...);
+    return Status();
+  }
+  Status finish() const {
+    if (offset_ != bytes_.size()) {
+      return Status::corrupt("%zu trailing bytes after the last field",
+                             bytes_.size() - offset_);
+    }
+    return Status();
+  }
+
+ private:
+  std::string_view bytes_;
+  std::size_t offset_;
+};
 
 // -- frames -------------------------------------------------------------------
 

@@ -12,61 +12,39 @@ namespace {
 // cap keeps a corrupt frame from recursing the decoder into the ground.
 constexpr int kMaxSpanDepth = 64;
 
-void append_span(std::string& out, const SpanNode& node) {
-  ipc_append_string(out, node.name);
-  ipc_append_pod(out, node.count);
-  ipc_append_pod(out, node.total_sec);
-  ipc_append_pod(out, static_cast<std::uint32_t>(node.children.size()));
-  for (const SpanNode& child : node.children) append_span(out, child);
-}
-
-Status parse_span(std::string_view bytes, std::size_t& offset, SpanNode& node,
-                  int depth) {
+template <class W, class Span>
+Status span_fields(W& w, Span& node, int depth) {
   if (depth > kMaxSpanDepth) {
     return Status::corrupt("span tree deeper than %d levels", kMaxSpanDepth);
   }
-  RLCCD_TRY(ipc_parse_string(bytes, offset, node.name, "span name"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, node.count, "span count"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, node.total_sec, "span seconds"));
-  std::uint32_t n_children = 0;  // name length, count, seconds, child count
-  RLCCD_TRY(ipc_parse_count(bytes, offset, n_children, 24, "span child count"));
-  node.children.resize(n_children);
-  for (SpanNode& child : node.children) {
-    RLCCD_TRY(parse_span(bytes, offset, child, depth + 1));
-  }
-  return Status();
+  RLCCD_TRY(w.string(node.name, "span name"));
+  RLCCD_TRY(w.pod(node.count, "span count"));
+  RLCCD_TRY(w.pod(node.total_sec, "span seconds"));
+  // Name length, count, seconds and child count at least.
+  return w.list(kU32, node.children, 24, "span child count",
+                [&](auto& child) { return span_fields(w, child, depth + 1); });
 }
 
-void append_histogram_snapshot(std::string& out,
-                               const MetricsHistogram::Snapshot& h) {
-  ipc_append_pod(out, h.count);
-  ipc_append_pod(out, h.sum);
-  ipc_append_pod(out, h.min);
-  ipc_append_pod(out, h.max);
-  ipc_append_pod(out, static_cast<std::uint32_t>(h.buckets.size()));
-  for (const auto& [exponent, n] : h.buckets) {
-    ipc_append_pod(out, static_cast<std::int32_t>(exponent));
-    ipc_append_pod(out, n);
+template <class W, class D>
+Status obs_delta_fields(W& w, D& delta) {
+  std::uint8_t version = ObsDelta::kVersion;
+  RLCCD_TRY(w.pod(version, "obs delta version"));
+  if (version != ObsDelta::kVersion) {
+    return Status::corrupt("obs delta version %u, expected %u", version,
+                           ObsDelta::kVersion);
   }
-}
-
-Status parse_histogram_snapshot(std::string_view bytes, std::size_t& offset,
-                                MetricsHistogram::Snapshot& h) {
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, h.count, "histogram count"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, h.sum, "histogram sum"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, h.min, "histogram min"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, h.max, "histogram max"));
-  std::uint32_t n_buckets = 0;  // i32 exponent + u64 count each
-  RLCCD_TRY(
-      ipc_parse_count(bytes, offset, n_buckets, 12, "histogram bucket count"));
-  h.buckets.resize(n_buckets);
-  for (auto& [exponent, n] : h.buckets) {
-    std::int32_t e = 0;
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, e, "bucket exponent"));
-    exponent = e;
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, n, "bucket count"));
-  }
-  return Status();
+  RLCCD_TRY(w.pod(delta.seq, "obs delta seq"));
+  RLCCD_TRY(w.pod(delta.source_pid, "obs delta pid"));
+  RLCCD_TRY(telemetry_snapshot_fields(w, delta.telemetry));
+  // Name length, start, dur and tid at least.
+  RLCCD_TRY(w.list(kU32, delta.trace_events, 24, "trace event count",
+                   [&](auto& ev) {
+                     RLCCD_TRY(w.string(ev.name, "trace event name"));
+                     RLCCD_TRY(w.pod(ev.start_sec, "trace event start"));
+                     RLCCD_TRY(w.pod(ev.dur_sec, "trace event dur"));
+                     return w.as(kI32, ev.tid, "trace event tid");
+                   }));
+  return w.finish();
 }
 
 // Subtract `base` from `cur` under `out` (out.name already unset for the
@@ -88,55 +66,37 @@ void span_delta_into(const SpanNode& cur, const SpanNode* base,
 
 }  // namespace
 
-void append_telemetry_snapshot(std::string& out,
-                               const TelemetrySnapshot& snap) {
-  ipc_append_pod(out, static_cast<std::uint32_t>(snap.counters.size()));
-  for (const auto& [name, value] : snap.counters) {
-    ipc_append_string(out, name);
-    ipc_append_pod(out, value);
-  }
-  ipc_append_pod(out, static_cast<std::uint32_t>(snap.gauges.size()));
-  for (const auto& [name, value] : snap.gauges) {
-    ipc_append_string(out, name);
-    ipc_append_pod(out, value);
-  }
-  ipc_append_pod(out, static_cast<std::uint32_t>(snap.histograms.size()));
-  for (const auto& [name, h] : snap.histograms) {
-    ipc_append_string(out, name);
-    append_histogram_snapshot(out, h);
-  }
-  append_span(out, snap.spans);
+template <class W, class Snapshot>
+Status telemetry_snapshot_fields(W& w, Snapshot& snap) {
+  // A counter or gauge is at least a name length and an 8-byte value.
+  const auto named_value = [&](auto& entry) {
+    RLCCD_TRY(w.string(entry.first, "metric name"));
+    return w.pod(entry.second, "metric value");
+  };
+  RLCCD_TRY(w.list(kU32, snap.counters, 12, "counter count", named_value));
+  RLCCD_TRY(w.list(kU32, snap.gauges, 12, "gauge count", named_value));
+  const auto histogram = [&](auto& entry) {
+    auto& h = entry.second;
+    RLCCD_TRY(w.string(entry.first, "histogram name"));
+    RLCCD_TRY(w.pod(h.count, "histogram count"));
+    RLCCD_TRY(w.pod(h.sum, "histogram sum"));
+    RLCCD_TRY(w.pod(h.min, "histogram min"));
+    RLCCD_TRY(w.pod(h.max, "histogram max"));
+    // An i32 exponent and a u64 count each.
+    return w.list(kU32, h.buckets, 12, "histogram bucket count",
+                  [&](auto& bucket) {
+                    RLCCD_TRY(w.as(kI32, bucket.first, "bucket exponent"));
+                    return w.pod(bucket.second, "bucket count");
+                  });
+  };
+  // Name length, count, sum, min, max and bucket count at least.
+  RLCCD_TRY(w.list(kU32, snap.histograms, 40, "histogram count", histogram));
+  return span_fields(w, snap.spans, 0);
 }
 
-Status parse_telemetry_snapshot(std::string_view bytes, std::size_t& offset,
-                                TelemetrySnapshot& snap) {
-  // A counter or gauge is at least a name length and an 8-byte value.
-  std::uint32_t n_counters = 0;
-  RLCCD_TRY(ipc_parse_count(bytes, offset, n_counters, 12, "counter count"));
-  snap.counters.resize(n_counters);
-  for (auto& [name, value] : snap.counters) {
-    RLCCD_TRY(ipc_parse_string(bytes, offset, name, "counter name"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, value, "counter value"));
-  }
-  std::uint32_t n_gauges = 0;
-  RLCCD_TRY(ipc_parse_count(bytes, offset, n_gauges, 12, "gauge count"));
-  snap.gauges.resize(n_gauges);
-  for (auto& [name, value] : snap.gauges) {
-    RLCCD_TRY(ipc_parse_string(bytes, offset, name, "gauge name"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, value, "gauge value"));
-  }
-  // Name length, count, sum, min, max and bucket count at least.
-  std::uint32_t n_histograms = 0;
-  RLCCD_TRY(
-      ipc_parse_count(bytes, offset, n_histograms, 40, "histogram count"));
-  snap.histograms.resize(n_histograms);
-  for (auto& [name, h] : snap.histograms) {
-    RLCCD_TRY(ipc_parse_string(bytes, offset, name, "histogram name"));
-    RLCCD_TRY(parse_histogram_snapshot(bytes, offset, h));
-  }
-  RLCCD_TRY(parse_span(bytes, offset, snap.spans, 0));
-  return Status();
-}
+template Status telemetry_snapshot_fields(ByteWriter&,
+                                          const TelemetrySnapshot&);
+template Status telemetry_snapshot_fields(ByteReader&, TelemetrySnapshot&);
 
 TelemetrySnapshot snapshot_delta(const TelemetrySnapshot& current,
                                  const TelemetrySnapshot& baseline) {
@@ -200,47 +160,14 @@ TelemetrySnapshot TelemetryDeltaTracker::take() {
 
 std::string ObsDelta::encode() const {
   std::string out;
-  ipc_append_pod(out, kVersion);
-  ipc_append_pod(out, seq);
-  ipc_append_pod(out, source_pid);
-  append_telemetry_snapshot(out, telemetry);
-  ipc_append_pod(out, static_cast<std::uint32_t>(trace_events.size()));
-  for (const CollectedTraceEvent& ev : trace_events) {
-    ipc_append_string(out, ev.name);
-    ipc_append_pod(out, ev.start_sec);
-    ipc_append_pod(out, ev.dur_sec);
-    ipc_append_pod(out, static_cast<std::int32_t>(ev.tid));
-  }
+  ByteWriter w(out);
+  (void)obs_delta_fields(w, *this);
   return out;
 }
 
 Status ObsDelta::decode(std::string_view bytes) {
-  std::size_t offset = 0;
-  std::uint8_t version = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, version, "obs delta version"));
-  if (version != kVersion) {
-    return Status::corrupt("obs delta version %u, expected %u", version,
-                           kVersion);
-  }
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, seq, "obs delta seq"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, source_pid, "obs delta pid"));
-  RLCCD_TRY(parse_telemetry_snapshot(bytes, offset, telemetry));
-  std::uint32_t n_trace = 0;  // name length, start, dur, tid at least
-  RLCCD_TRY(ipc_parse_count(bytes, offset, n_trace, 24, "trace event count"));
-  trace_events.resize(n_trace);
-  for (CollectedTraceEvent& ev : trace_events) {
-    RLCCD_TRY(ipc_parse_string(bytes, offset, ev.name, "trace event name"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, ev.start_sec, "trace event start"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, ev.dur_sec, "trace event dur"));
-    std::int32_t tid = 0;
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, tid, "trace event tid"));
-    ev.tid = tid;
-  }
-  if (offset != bytes.size()) {
-    return Status::corrupt("obs delta has %zu trailing bytes",
-                           bytes.size() - offset);
-  }
-  return Status();
+  ByteReader r(bytes);
+  return obs_delta_fields(r, *this);
 }
 
 }  // namespace rlccd

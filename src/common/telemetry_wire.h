@@ -3,10 +3,11 @@
 // Three layers, each reused by both child kinds (rl/isolation rollout
 // workers and serve job children):
 //
-//   * append/parse_telemetry_snapshot — the one TelemetrySnapshot codec
-//     (counters, gauges, histograms with buckets, the span tree). The
-//     rollout result wire (rl/isolation/wire.h, v3) embeds it, and ObsDelta
-//     below carries it; there is exactly one byte layout for a snapshot.
+//   * telemetry_snapshot_fields — the one TelemetrySnapshot field list
+//     (counters, gauges, histograms with buckets, the span tree), walked by
+//     common/ipc.h's ByteWriter and ByteReader. The rollout result wire
+//     (rl/isolation/wire.h) embeds it, and ObsDelta below carries it; there
+//     is exactly one byte layout for a snapshot.
 //
 //   * ObsDelta — the payload of a FrameType::kTelemetry frame: a compact
 //     telemetry *delta* since the child's previous ship and the trace
@@ -37,11 +38,12 @@
 
 namespace rlccd {
 
-// -- snapshot codec -----------------------------------------------------------
+// -- snapshot field list ------------------------------------------------------
 
-void append_telemetry_snapshot(std::string& out, const TelemetrySnapshot& snap);
-Status parse_telemetry_snapshot(std::string_view bytes, std::size_t& offset,
-                                TelemetrySnapshot& snap);
+// Walks `snap` with a ByteWriter (Snapshot = const TelemetrySnapshot) or a
+// ByteReader (Snapshot = TelemetrySnapshot). Instantiated for those two.
+template <class Walker, class Snapshot>
+Status telemetry_snapshot_fields(Walker& w, Snapshot& snap);
 
 // -- delta computation --------------------------------------------------------
 

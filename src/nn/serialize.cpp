@@ -12,47 +12,28 @@ namespace {
 
 constexpr char kMagic[8] = {'R', 'L', 'C', 'C', 'D', 'N', 'N', '1'};
 
-void append_parameters(const std::vector<Tensor>& params, std::string& out) {
-  ipc_append_pod(out, static_cast<std::uint64_t>(params.size()));
-  for (const Tensor& p : params) {
-    ipc_append_pod(out, static_cast<std::uint64_t>(p.rows()));
-    ipc_append_pod(out, static_cast<std::uint64_t>(p.cols()));
-    if (p.size() > 0) {
-      out.append(reinterpret_cast<const char*>(p.data()),
-                 p.size() * sizeof(float));
-    }
-  }
-}
-
-Status parse_parameters(std::vector<Tensor>& params, std::string_view bytes,
-                        std::size_t& offset) {
-  std::uint64_t count = 0;  // u64 rows and cols at least
-  RLCCD_TRY(ipc_parse_count(bytes, offset, count, 16, "parameter count"));
+// The count and every shape are read against the live tensors, which are
+// never resized: a file for another network is rejected, not half-loaded.
+template <class W, class Params>
+Status parameter_fields(W& w, Params& params) {
+  // Each parameter: u64 rows and cols at least.
+  std::size_t count = params.size();
+  RLCCD_TRY(w.count(kU64, count, 16, "parameter count"));
   if (count != params.size()) {
-    return Status::invalid_argument(
-        "parameter count %llu, expected %zu",
-        static_cast<unsigned long long>(count), params.size());
+    return Status::invalid_argument("parameter count %zu, expected %zu",
+                                    count, params.size());
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
-    Tensor& p = params[i];
-    std::uint64_t rows = 0, cols = 0;
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, rows, "parameter shape"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, cols, "parameter shape"));
+    auto& p = params[i];
+    std::size_t rows = p.rows(), cols = p.cols();
+    RLCCD_TRY(w.as(kU64, rows, "parameter shape"));
+    RLCCD_TRY(w.as(kU64, cols, "parameter shape"));
     if (rows != p.rows() || cols != p.cols()) {
       return Status::invalid_argument(
-          "parameter %zu: shape %llux%llu, expected %zux%zu", i,
-          static_cast<unsigned long long>(rows),
-          static_cast<unsigned long long>(cols), p.rows(), p.cols());
+          "parameter %zu: shape %zux%zu, expected %zux%zu", i, rows, cols,
+          p.rows(), p.cols());
     }
-    const std::size_t nbytes = p.size() * sizeof(float);
-    if (offset + nbytes > bytes.size()) {
-      return Status::corrupt("truncated in parameter %zu data (%zu of %zu bytes)",
-                             i, bytes.size() - offset, nbytes);
-    }
-    if (nbytes > 0) {
-      std::memcpy(p.data(), bytes.data() + offset, nbytes);
-      offset += nbytes;
-    }
+    RLCCD_TRY(w.floats(p.data(), p.size(), "parameter values"));
   }
   return Status();
 }
@@ -66,7 +47,8 @@ Status save_parameters(const std::vector<Tensor>& params,
   }
   std::string payload;
   payload.append(kMagic, sizeof(kMagic));
-  append_parameters(params, payload);
+  ByteWriter w(payload);
+  (void)parameter_fields(w, params);
   return atomic_write_file(path, payload);
 }
 
@@ -78,8 +60,8 @@ Status load_parameters(std::vector<Tensor>& params, const std::string& path) {
     return Status::corrupt("%s: not an RLCCDNN1 parameter file",
                            path.c_str());
   }
-  std::size_t offset = sizeof(kMagic);
-  return parse_parameters(params, bytes, offset).with_context(path);
+  ByteReader r(bytes, sizeof(kMagic));
+  return parameter_fields(r, params).with_context(path);
 }
 
 void copy_parameter_values(const std::vector<Tensor>& src,

@@ -20,128 +20,59 @@ constexpr char kMagic[10] = {'R', 'L', 'C', 'C', 'D', 'C', 'K', 'P', 'T', '1'};
 // leave those fields zero in the restored history.
 constexpr std::uint32_t kVersion = 2;
 
-std::string serialize_payload(const TrainCheckpoint& ckpt) {
-  std::string out;
-  ipc_append_pod(out, ckpt.seed);
-  ipc_append_pod(out, ckpt.workers);
-  ipc_append_pod(out, ckpt.next_iter);
-  ipc_append_pod(out, ckpt.baseline);
-  ipc_append_pod(out, static_cast<std::uint8_t>(ckpt.baseline_init ? 1 : 0));
-  ipc_append_pod(out, ckpt.stall);
-  ipc_append_pod(out, ckpt.rng_state);
+template <class W, class Checkpoint>
+Status payload_fields(W& w, Checkpoint& ckpt) {
+  RLCCD_TRY(w.pod(ckpt.seed, "seed"));
+  RLCCD_TRY(w.pod(ckpt.workers, "workers"));
+  RLCCD_TRY(w.pod(ckpt.next_iter, "next_iter"));
+  RLCCD_TRY(w.pod(ckpt.baseline, "baseline"));
+  RLCCD_TRY(w.as(kU8, ckpt.baseline_init, "baseline_init"));
+  RLCCD_TRY(w.pod(ckpt.stall, "stall"));
+  RLCCD_TRY(w.pod(ckpt.rng_state, "rng_state"));
 
-  ipc_append_pod(out, static_cast<std::uint64_t>(ckpt.params.size()));
-  for (std::size_t i = 0; i < ckpt.params.size(); ++i) {
-    ipc_append_pod(out, ckpt.param_shapes[i].first);
-    ipc_append_pod(out, ckpt.param_shapes[i].second);
-    ipc_append_float_vec(out, ckpt.params[i]);
-  }
-
-  ipc_append_pod(out, static_cast<std::int64_t>(ckpt.adam.t));
-  ipc_append_pod(out, static_cast<std::uint64_t>(ckpt.adam.m.size()));
-  for (std::size_t i = 0; i < ckpt.adam.m.size(); ++i) {
-    ipc_append_float_vec(out, ckpt.adam.m[i]);
-    ipc_append_float_vec(out, ckpt.adam.v[i]);
-  }
-
-  const TrainStats& s = ckpt.stats;
-  ipc_append_pod(out, s.begin_tns);
-  ipc_append_pod(out, s.default_tns);
-  ipc_append_pod(out, static_cast<std::uint64_t>(s.default_nve));
-  ipc_append_pod(out, s.best_tns);
-  ipc_append_pod(out, static_cast<std::uint64_t>(s.best_selection.size()));
-  for (PinId pin : s.best_selection) ipc_append_pod(out, pin.value);
-  ipc_append_pod(out, static_cast<std::uint64_t>(s.history.size()));
-  for (const IterationStats& it : s.history) {
-    ipc_append_pod(out, it.mean_reward);
-    ipc_append_pod(out, it.mean_tns);
-    ipc_append_pod(out, it.iter_best_tns);
-    ipc_append_pod(out, it.best_tns);
-    ipc_append_pod(out, it.mean_steps);
-    ipc_append_pod(out, it.mean_entropy);
-    ipc_append_pod(out, it.grad_norm);
-    ipc_append_pod(out, it.baseline);
-  }
-  ipc_append_pod(out, static_cast<std::int32_t>(s.iterations));
-  ipc_append_pod(out, static_cast<std::int32_t>(s.flow_runs));
-  ipc_append_pod(out, s.train_seconds);
-  return out;
-}
-
-Status parse_payload(TrainCheckpoint& ckpt, std::string_view bytes) {
-  std::size_t offset = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.seed, "seed"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.workers, "workers"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.next_iter, "next_iter"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.baseline, "baseline"));
-  std::uint8_t baseline_init = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, baseline_init, "baseline_init"));
-  ckpt.baseline_init = baseline_init != 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.stall, "stall"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.rng_state, "rng_state"));
-
-  std::uint64_t n_params = 0;  // u64 rows, cols and value count at least
-  RLCCD_TRY(ipc_parse_count(bytes, offset, n_params, 24, "parameter count"));
-  ckpt.params.resize(n_params);
-  ckpt.param_shapes.resize(n_params);
+  // Each parameter: u64 rows, cols and value count at least.
+  std::size_t n_params = ckpt.params.size();
+  RLCCD_TRY(w.count(kU64, n_params, 24, "parameter count", ckpt.params,
+                    ckpt.param_shapes));
   for (std::size_t i = 0; i < n_params; ++i) {
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.param_shapes[i].first,
-                            "parameter rows"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, ckpt.param_shapes[i].second,
-                            "parameter cols"));
-    RLCCD_TRY(ipc_parse_float_vec(bytes, offset, ckpt.params[i],
-                                  "parameter values"));
+    RLCCD_TRY(w.pod(ckpt.param_shapes[i].first, "parameter rows"));
+    RLCCD_TRY(w.pod(ckpt.param_shapes[i].second, "parameter cols"));
+    RLCCD_TRY(w.floats(ckpt.params[i], "parameter values"));
   }
 
-  std::int64_t adam_t = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, adam_t, "adam step count"));
-  ckpt.adam.t = static_cast<long>(adam_t);
-  std::uint64_t n_adam = 0;  // two u64 value counts at least
-  RLCCD_TRY(ipc_parse_count(bytes, offset, n_adam, 16, "adam parameter count"));
-  ckpt.adam.m.resize(n_adam);
-  ckpt.adam.v.resize(n_adam);
+  RLCCD_TRY(w.as(kI64, ckpt.adam.t, "adam step count"));
+  // Each parameter's m and v: two u64 value counts at least.
+  std::size_t n_adam = ckpt.adam.m.size();
+  RLCCD_TRY(w.count(kU64, n_adam, 16, "adam parameter count", ckpt.adam.m,
+                    ckpt.adam.v));
   for (std::size_t i = 0; i < n_adam; ++i) {
-    RLCCD_TRY(ipc_parse_float_vec(bytes, offset, ckpt.adam.m[i], "adam m"));
-    RLCCD_TRY(ipc_parse_float_vec(bytes, offset, ckpt.adam.v[i], "adam v"));
+    RLCCD_TRY(w.floats(ckpt.adam.m[i], "adam m"));
+    RLCCD_TRY(w.floats(ckpt.adam.v[i], "adam v"));
   }
 
-  TrainStats& s = ckpt.stats;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, s.begin_tns, "begin_tns"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, s.default_tns, "default_tns"));
-  std::uint64_t default_nve = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, default_nve, "default_nve"));
-  s.default_nve = static_cast<std::size_t>(default_nve);
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, s.best_tns, "best_tns"));
-  std::uint64_t n_sel = 0;  // u32 pins
-  RLCCD_TRY(ipc_parse_count(bytes, offset, n_sel, 4, "selection size"));
-  s.best_selection.resize(n_sel);
-  for (PinId& pin : s.best_selection) {
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, pin.value, "selection pin"));
-  }
-  std::uint64_t n_hist = 0;  // eight doubles per entry
-  RLCCD_TRY(ipc_parse_count(bytes, offset, n_hist, 64, "history size"));
-  s.history.resize(n_hist);
-  for (IterationStats& it : s.history) {
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.mean_reward, "history"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.mean_tns, "history"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.iter_best_tns, "history"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.best_tns, "history"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.mean_steps, "history"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.mean_entropy, "history"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.grad_norm, "history"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, it.baseline, "history"));
-  }
-  std::int32_t iterations = 0, flow_runs = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, iterations, "iterations"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, flow_runs, "flow_runs"));
-  s.iterations = iterations;
-  s.flow_runs = flow_runs;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, s.train_seconds, "train_seconds"));
-  if (offset != bytes.size()) {
-    return Status::corrupt("%zu trailing bytes after payload",
-                           bytes.size() - offset);
-  }
-  return Status();
+  auto& s = ckpt.stats;
+  RLCCD_TRY(w.pod(s.begin_tns, "begin_tns"));
+  RLCCD_TRY(w.pod(s.default_tns, "default_tns"));
+  RLCCD_TRY(w.as(kU64, s.default_nve, "default_nve"));
+  RLCCD_TRY(w.pod(s.best_tns, "best_tns"));
+  RLCCD_TRY(w.list(kU64, s.best_selection, 4, "selection size", [&](auto& p) {
+    return w.pod(p.value, "selection pin");
+  }));
+  // Eight doubles per entry.
+  RLCCD_TRY(w.list(kU64, s.history, 64, "history size", [&](auto& it) {
+    RLCCD_TRY(w.pod(it.mean_reward, "history"));
+    RLCCD_TRY(w.pod(it.mean_tns, "history"));
+    RLCCD_TRY(w.pod(it.iter_best_tns, "history"));
+    RLCCD_TRY(w.pod(it.best_tns, "history"));
+    RLCCD_TRY(w.pod(it.mean_steps, "history"));
+    RLCCD_TRY(w.pod(it.mean_entropy, "history"));
+    RLCCD_TRY(w.pod(it.grad_norm, "history"));
+    return w.pod(it.baseline, "history");
+  }));
+  RLCCD_TRY(w.as(kI32, s.iterations, "iterations"));
+  RLCCD_TRY(w.as(kI32, s.flow_runs, "flow_runs"));
+  RLCCD_TRY(w.pod(s.train_seconds, "train_seconds"));
+  return w.finish();
 }
 
 }  // namespace
@@ -213,7 +144,9 @@ Status save_checkpoint(const TrainCheckpoint& ckpt, const std::string& path) {
                               ec.message().c_str());
     }
   }
-  const std::string payload = serialize_payload(ckpt);
+  std::string payload;
+  ByteWriter w(payload);
+  (void)payload_fields(w, ckpt);
   std::string file;
   file.reserve(payload.size() + 32);
   file.append(kMagic, sizeof(kMagic));
@@ -261,7 +194,8 @@ Status load_checkpoint(TrainCheckpoint& ckpt, const std::string& path) {
     return Status::corrupt("%s: CRC mismatch (stored %08x, computed %08x)",
                            path.c_str(), crc, actual);
   }
-  return parse_payload(ckpt, payload).with_context(path);
+  ByteReader r(payload);
+  return payload_fields(r, ckpt).with_context(path);
 }
 
 }  // namespace rlccd

@@ -7,153 +7,77 @@ namespace rlccd {
 
 namespace {
 
-void append_audit(std::string& out, const SelectionAudit& audit) {
-  ipc_append_pod(out, static_cast<std::uint8_t>(audit.poisoned));
-  ipc_append_pod(out, static_cast<std::uint32_t>(audit.steps.size()));
-  for (const AuditStep& step : audit.steps) {
-    ipc_append_pod(out, step.chosen);
-    ipc_append_pod(out, step.slack);
-    ipc_append_pod(out, step.log_prob);
-    ipc_append_pod(out, step.entropy);
-    ipc_append_pod(out, static_cast<std::uint8_t>(step.top_probs.size()));
-    for (const auto& [endpoint, prob] : step.top_probs) {
-      ipc_append_pod(out, endpoint);
-      ipc_append_pod(out, prob);
-    }
-    ipc_append_pod(out, static_cast<std::uint32_t>(step.masked.size()));
-    for (const AuditMaskEvent& ev : step.masked) {
-      ipc_append_pod(out, ev.endpoint);
-      ipc_append_pod(out, ev.overlap);
-    }
-  }
+template <class W, class Outcome>
+Status eval_outcome_fields(W& w, Outcome& outcome) {
+  RLCCD_TRY(w.pod(outcome.summary.wns, "outcome wns"));
+  RLCCD_TRY(w.pod(outcome.summary.tns, "outcome tns"));
+  RLCCD_TRY(w.as(kU64, outcome.summary.nve, "outcome nve"));
+  RLCCD_TRY(w.as(kU64, outcome.summary.num_endpoints, "outcome endpoints"));
+  RLCCD_TRY(w.pod(outcome.summary.worst_hold_slack, "outcome hold slack"));
+  RLCCD_TRY(w.pod(outcome.reward, "outcome reward"));
+  RLCCD_TRY(w.as(kU8, outcome.flow_ran, "outcome flow_ran"));
+  RLCCD_TRY(w.as(kU8, outcome.cancelled, "outcome cancelled"));
+  RLCCD_TRY(w.pod(outcome.state_hash.lo, "state hash lo"));
+  RLCCD_TRY(w.pod(outcome.state_hash.hi, "state hash hi"));
+  return w.as(kU8, outcome.cache_hit, "outcome cache_hit");
 }
 
-Status parse_audit(std::string_view bytes, std::size_t& offset,
-                   SelectionAudit& audit) {
-  std::uint8_t poisoned = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, poisoned, "audit poisoned"));
-  audit.poisoned = poisoned != 0;
+template <class W, class Audit>
+Status audit_fields(W& w, Audit& audit) {
+  RLCCD_TRY(w.as(kU8, audit.poisoned, "audit poisoned"));
+  // Both per-step lists hold a u32 endpoint and a double each.
+  const auto top_k = [&](auto& top) {
+    RLCCD_TRY(w.pod(top.first, "top-k endpoint"));
+    return w.pod(top.second, "top-k probability");
+  };
+  const auto mask_event = [&](auto& ev) {
+    RLCCD_TRY(w.pod(ev.endpoint, "masked endpoint"));
+    return w.pod(ev.overlap, "masked overlap");
+  };
   // A step is at least chosen (4), three doubles and both counts (1 + 4).
-  std::uint32_t n_steps = 0;
-  RLCCD_TRY(ipc_parse_count(bytes, offset, n_steps, 33, "audit step count"));
-  audit.steps.resize(n_steps);
-  for (AuditStep& step : audit.steps) {
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, step.chosen, "audit chosen"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, step.slack, "audit slack"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, step.log_prob, "audit log_prob"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, step.entropy, "audit entropy"));
-    std::uint8_t n_top = 0;  // u32 endpoint + double probability each
-    RLCCD_TRY(ipc_parse_count(bytes, offset, n_top, 12, "audit top-k count"));
-    step.top_probs.resize(n_top);
-    for (auto& [endpoint, prob] : step.top_probs) {
-      RLCCD_TRY(ipc_parse_pod(bytes, offset, endpoint, "top-k endpoint"));
-      RLCCD_TRY(ipc_parse_pod(bytes, offset, prob, "top-k probability"));
-    }
-    std::uint32_t n_masked = 0;  // u32 endpoint + double overlap each
-    RLCCD_TRY(ipc_parse_count(bytes, offset, n_masked, 12, "audit mask count"));
-    step.masked.resize(n_masked);
-    for (AuditMaskEvent& ev : step.masked) {
-      RLCCD_TRY(ipc_parse_pod(bytes, offset, ev.endpoint, "masked endpoint"));
-      RLCCD_TRY(ipc_parse_pod(bytes, offset, ev.overlap, "masked overlap"));
-    }
+  return w.list(kU32, audit.steps, 33, "audit step count", [&](auto& step) {
+    RLCCD_TRY(w.pod(step.chosen, "audit chosen"));
+    RLCCD_TRY(w.pod(step.slack, "audit slack"));
+    RLCCD_TRY(w.pod(step.log_prob, "audit log_prob"));
+    RLCCD_TRY(w.pod(step.entropy, "audit entropy"));
+    RLCCD_TRY(w.list(kU8, step.top_probs, 12, "audit top-k count", top_k));
+    return w.list(kU32, step.masked, 12, "audit mask count", mask_event);
+  });
+}
+
+template <class W, class Wire>
+Status rollout_wire_fields(W& w, Wire& wire) {
+  std::uint8_t version = RolloutWire::kVersion;
+  RLCCD_TRY(w.pod(version, "wire version"));
+  if (version != RolloutWire::kVersion) {
+    return Status::corrupt("rollout wire version %u, expected %u", version,
+                           RolloutWire::kVersion);
   }
-  return Status();
-}
-
-// EvalOutcome codec: one field at a time, fixed width, no padding bytes on
-// the wire.
-void append_eval_outcome(std::string& out, const EvalOutcome& outcome) {
-  ipc_append_pod(out, outcome.summary.wns);
-  ipc_append_pod(out, outcome.summary.tns);
-  ipc_append_pod(out, static_cast<std::uint64_t>(outcome.summary.nve));
-  ipc_append_pod(out,
-                 static_cast<std::uint64_t>(outcome.summary.num_endpoints));
-  ipc_append_pod(out, outcome.summary.worst_hold_slack);
-  ipc_append_pod(out, outcome.reward);
-  ipc_append_pod(out, static_cast<std::uint8_t>(outcome.flow_ran));
-  ipc_append_pod(out, static_cast<std::uint8_t>(outcome.cancelled));
-  ipc_append_pod(out, outcome.state_hash.lo);
-  ipc_append_pod(out, outcome.state_hash.hi);
-  ipc_append_pod(out, static_cast<std::uint8_t>(outcome.cache_hit));
-}
-
-Status parse_eval_outcome(std::string_view bytes, std::size_t& offset,
-                          EvalOutcome& out) {
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.summary.wns, "outcome wns"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.summary.tns, "outcome tns"));
-  std::uint64_t nve = 0, num_endpoints = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, nve, "outcome nve"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, num_endpoints, "outcome endpoints"));
-  out.summary.nve = static_cast<std::size_t>(nve);
-  out.summary.num_endpoints = static_cast<std::size_t>(num_endpoints);
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.summary.worst_hold_slack,
-                          "outcome hold slack"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.reward, "outcome reward"));
-  std::uint8_t flow_ran = 0, cancelled = 0, cache_hit = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, flow_ran, "outcome flow_ran"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, cancelled, "outcome cancelled"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.state_hash.lo, "state hash lo"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.state_hash.hi, "state hash hi"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, cache_hit, "outcome cache_hit"));
-  out.flow_ran = flow_ran != 0;
-  out.cancelled = cancelled != 0;
-  out.cache_hit = cache_hit != 0;
-  return Status();
+  RLCCD_TRY(eval_outcome_fields(w, wire.outcome));
+  RLCCD_TRY(w.pod(wire.steps, "steps"));
+  RLCCD_TRY(w.as(kU8, wire.poisoned, "poisoned"));
+  RLCCD_TRY(w.list(kU32, wire.selection, 4, "selection count", [&](auto& p) {
+    return w.pod(p.value, "selection pin");
+  }));
+  // A u64 value count at least.
+  RLCCD_TRY(w.list(kU32, wire.grads, 8, "gradient tensor count",
+                   [&](auto& g) { return w.floats(g, "gradient tensor"); }));
+  RLCCD_TRY(audit_fields(w, wire.audit));
+  RLCCD_TRY(telemetry_snapshot_fields(w, wire.telemetry));
+  return w.finish();
 }
 
 }  // namespace
 
 void encode_rollout_wire(const RolloutWire& wire, std::string& out) {
   out.clear();
-  ipc_append_pod(out, RolloutWire::kVersion);
-  append_eval_outcome(out, wire.outcome);
-  ipc_append_pod(out, wire.steps);
-  ipc_append_pod(out, static_cast<std::uint8_t>(wire.poisoned));
-  ipc_append_pod(out, static_cast<std::uint32_t>(wire.selection.size()));
-  for (PinId pin : wire.selection) ipc_append_pod(out, pin.value);
-  ipc_append_pod(out, static_cast<std::uint32_t>(wire.grads.size()));
-  for (const std::vector<float>& g : wire.grads) ipc_append_float_vec(out, g);
-  append_audit(out, wire.audit);
-  append_telemetry_snapshot(out, wire.telemetry);
+  ByteWriter w(out);
+  (void)rollout_wire_fields(w, wire);
 }
 
 Status decode_rollout_wire(std::string_view bytes, RolloutWire& out) {
-  std::size_t offset = 0;
-  std::uint8_t version = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, version, "wire version"));
-  if (version != RolloutWire::kVersion) {
-    return Status::corrupt("rollout wire version %u, expected %u", version,
-                           RolloutWire::kVersion);
-  }
-  RLCCD_TRY(parse_eval_outcome(bytes, offset, out.outcome));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, out.steps, "steps"));
-  std::uint8_t poisoned = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, poisoned, "poisoned"));
-  out.poisoned = poisoned != 0;
-
-  std::uint32_t n_sel = 0;  // u32 pins
-  RLCCD_TRY(ipc_parse_count(bytes, offset, n_sel, 4, "selection count"));
-  out.selection.resize(n_sel);
-  for (PinId& pin : out.selection) {
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, pin.value, "selection pin"));
-  }
-
-  std::uint32_t n_grads = 0;  // u64 value count at least
-  RLCCD_TRY(
-      ipc_parse_count(bytes, offset, n_grads, 8, "gradient tensor count"));
-  out.grads.resize(n_grads);
-  for (std::vector<float>& g : out.grads) {
-    RLCCD_TRY(ipc_parse_float_vec(bytes, offset, g, "gradient tensor"));
-  }
-
-  RLCCD_TRY(parse_audit(bytes, offset, out.audit));
-
-  RLCCD_TRY(parse_telemetry_snapshot(bytes, offset, out.telemetry));
-  if (offset != bytes.size()) {
-    return Status::corrupt("rollout wire has %zu trailing bytes",
-                           bytes.size() - offset);
-  }
-  return Status();
+  ByteReader r(bytes);
+  return rollout_wire_fields(r, out);
 }
 
 }  // namespace rlccd

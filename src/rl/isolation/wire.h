@@ -8,9 +8,10 @@
 // identically), per-parameter gradients, the decision-provenance audit —
 // plus the child's telemetry delta (counters, histograms and the span tree
 // recorded while the rollout ran), which the parent merge_delta()s into the
-// global registry so metrics agree with the thread backend. Encoding is
-// little-endian fixed-width via the common/ipc.h codec; a leading version
-// byte rejects frames from a mismatched binary.
+// global registry so metrics agree with the thread backend. One field list
+// (wire.cpp, walked by common/ipc.h's ByteWriter and ByteReader) states the
+// little-endian fixed-width layout, the snapshot's own field list embedded;
+// a leading version byte rejects frames from a mismatched binary.
 #pragma once
 
 #include <cstdint>

@@ -71,7 +71,7 @@ Status ServeClient::connect_once(const std::string& socket_path,
 
   Hello hello;
   std::string bytes;
-  encode_hello(bytes, hello);
+  encode(bytes, hello);
   Status ws = write_msg(fd_, MsgType::kHello, bytes);
   if (!ws.ok()) {
     close();
@@ -94,8 +94,7 @@ Status ServeClient::connect_once(const std::string& socket_path,
                            static_cast<int>(reply.type));
   }
   HelloReply hr;
-  std::size_t off = 0;
-  RLCCD_TRY(parse_hello_reply(reply.payload, off, hr));
+  RLCCD_TRY(parse(reply.payload, hr));
   if (hr.version != kProtocolVersion) {
     close();
     return Status::invalid_argument("daemon speaks protocol v%u, client v%u",
@@ -162,34 +161,31 @@ Status ServeClient::request(MsgType type, std::string_view payload,
 
 Status ServeClient::submit(const JobSpec& spec, SubmitReply& reply) {
   std::string bytes;
-  encode_job_spec(bytes, spec);
+  encode(bytes, spec);
   Frame frame;
   RLCCD_TRY(request(MsgType::kSubmit, bytes, MsgType::kSubmitReply, frame,
                     kReplyTimeoutSec));
-  std::size_t off = 0;
-  return parse_submit_reply(frame.payload, off, reply);
+  return parse(frame.payload, reply);
 }
 
 Status ServeClient::poll_job(std::uint64_t job_id, JobStatus& status) {
   JobRef ref{job_id};
   std::string bytes;
-  encode_job_ref(bytes, ref);
+  encode(bytes, ref);
   Frame frame;
   RLCCD_TRY(request(MsgType::kPoll, bytes, MsgType::kJobStatus, frame,
                     kReplyTimeoutSec));
-  std::size_t off = 0;
-  return parse_job_status(frame.payload, off, status);
+  return parse(frame.payload, status);
 }
 
 Status ServeClient::cancel(std::uint64_t job_id, JobStatus& status) {
   JobRef ref{job_id};
   std::string bytes;
-  encode_job_ref(bytes, ref);
+  encode(bytes, ref);
   Frame frame;
   RLCCD_TRY(request(MsgType::kCancel, bytes, MsgType::kJobStatus, frame,
                     kReplyTimeoutSec));
-  std::size_t off = 0;
-  return parse_job_status(frame.payload, off, status);
+  return parse(frame.payload, status);
 }
 
 Status ServeClient::wait(std::uint64_t job_id, JobStatus& final_status,
@@ -210,7 +206,7 @@ Status ServeClient::wait(std::uint64_t job_id, JobStatus& final_status,
     if (!watching) {
       JobRef ref{job_id};
       std::string bytes;
-      encode_job_ref(bytes, ref);
+      encode(bytes, ref);
       Status ws = write_msg(fd_, MsgType::kWatch, bytes);
       if (!ws.ok()) {
         close();
@@ -233,9 +229,8 @@ Status ServeClient::wait(std::uint64_t job_id, JobStatus& final_status,
     }
     switch (static_cast<MsgType>(frame.type)) {
       case MsgType::kJobStatus: {
-        std::size_t off = 0;
         JobStatus status;
-        RLCCD_TRY(parse_job_status(frame.payload, off, status));
+        RLCCD_TRY(parse(frame.payload, status));
         if (status.job_id == job_id && job_state_terminal(status.state)) {
           final_status = status;
           return Status();
@@ -243,22 +238,18 @@ Status ServeClient::wait(std::uint64_t job_id, JobStatus& final_status,
         break;
       }
       case MsgType::kProgress: {
-        std::size_t off = 0;
         JobProgress progress;
-        if (parse_job_progress(frame.payload, off, progress).ok() &&
+        if (parse(frame.payload, progress).ok() &&
             on_progress && progress.job_id == job_id) {
           on_progress(progress);
         }
         break;
       }
       case MsgType::kAudit: {
-        std::size_t off = 0;
-        std::uint64_t id = 0;
-        std::string line;
-        if (ipc_parse_pod(frame.payload, off, id, "audit job id").ok() &&
-            ipc_parse_string(frame.payload, off, line, "audit line").ok() &&
-            on_audit && id == job_id) {
-          on_audit(id, line);
+        JobAudit audit;
+        if (parse(frame.payload, audit).ok() && on_audit &&
+            audit.job_id == job_id) {
+          on_audit(audit.job_id, audit.line);
         }
         break;
       }

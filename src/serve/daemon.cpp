@@ -77,7 +77,7 @@ class ChildProgress : public ProgressObserver {
       p.metrics.emplace_back(std::string(m.name), m.value);
     }
     std::string bytes;
-    encode_job_progress(bytes, p);
+    encode(bytes, p);
     // A failed write means the daemon is gone; the child keeps going and
     // its result is simply lost with it.
     (void)pipe_->send(static_cast<FrameType>(MsgType::kChildProgress), bytes);
@@ -215,7 +215,7 @@ std::string run_job_child(const Job& job, const ServeConfig& cfg,
   }
   RLCCD_TRACE_INSTANT("attempt done");
   std::string bytes;
-  encode_job_result(bytes, result);
+  encode(bytes, result);
   return bytes;
 }
 
@@ -376,7 +376,7 @@ struct DaemonLoop {
   void notify_watchers(Job* job) {
     if (job->watchers.empty()) return;
     std::string bytes;
-    encode_job_status(bytes, status_of(*job));
+    encode(bytes, status_of(*job));
     for (int fd : job->watchers) {
       auto it = clients.find(fd);
       if (it != clients.end()) send_msg(it->second, MsgType::kJobStatus, bytes);
@@ -396,8 +396,7 @@ struct DaemonLoop {
   void handle_submit(ClientConn& c, std::string_view payload) {
     SubmitReply reply;
     JobSpec spec;
-    std::size_t off = 0;
-    Status parsed = parse_job_spec(payload, off, spec);
+    Status parsed = parse(payload, spec);
     std::string why;
     if (!parsed.ok()) {
       why = parsed.to_string();
@@ -460,7 +459,7 @@ struct DaemonLoop {
       RLCCD_LOG_WARN("serve: submit rejected: %s", why.c_str());
     }
     std::string bytes;
-    encode_submit_reply(bytes, reply);
+    encode(bytes, reply);
     send_msg(c, MsgType::kSubmitReply, bytes);
   }
 
@@ -471,8 +470,7 @@ struct DaemonLoop {
     switch (type) {
       case MsgType::kHello: {
         Hello hello;
-        std::size_t off = 0;
-        if (!parse_hello(frame.payload, off, hello).ok() ||
+        if (!parse(frame.payload, hello).ok() ||
             hello.version != kProtocolVersion) {
           send_error(c, "protocol version mismatch (daemon speaks v" +
                             std::to_string(kProtocolVersion) + ")");
@@ -482,7 +480,7 @@ struct DaemonLoop {
         HelloReply reply;
         reply.daemon_pid = static_cast<std::uint64_t>(::getpid());
         std::string bytes;
-        encode_hello_reply(bytes, reply);
+        encode(bytes, reply);
         send_msg(c, MsgType::kHelloReply, bytes);
         break;
       }
@@ -492,8 +490,7 @@ struct DaemonLoop {
       case MsgType::kPoll:
       case MsgType::kWatch: {
         JobRef ref;
-        std::size_t off = 0;
-        if (!parse_job_ref(frame.payload, off, ref).ok()) {
+        if (!parse(frame.payload, ref).ok()) {
           send_error(c, "malformed job ref");
           return;
         }
@@ -509,14 +506,13 @@ struct DaemonLoop {
           }
         }
         std::string bytes;
-        encode_job_status(bytes, status_of(*job));
+        encode(bytes, status_of(*job));
         send_msg(c, MsgType::kJobStatus, bytes);
         break;
       }
       case MsgType::kCancel: {
         JobRef ref;
-        std::size_t off = 0;
-        if (!parse_job_ref(frame.payload, off, ref).ok()) {
+        if (!parse(frame.payload, ref).ok()) {
           send_error(c, "malformed job ref");
           return;
         }
@@ -527,7 +523,7 @@ struct DaemonLoop {
         }
         cancel_job(job);
         std::string bytes;
-        encode_job_status(bytes, status_of(*job));
+        encode(bytes, status_of(*job));
         send_msg(c, MsgType::kJobStatus, bytes);
         break;
       }
@@ -678,22 +674,20 @@ struct DaemonLoop {
     const bool ended = s.child.drain([&](const Frame& frame) {
       switch (frame.type) {
         case static_cast<std::uint8_t>(MsgType::kChildProgress): {
-          std::size_t off = 0;
           JobProgress p;
-          if (parse_job_progress(frame.payload, off, p).ok()) {
+          if (parse(frame.payload, p).ok()) {
             p.job_id = job->id;
             job->detail = p.phase + "/" + p.step +
                           (p.index >= 0 ? " #" + std::to_string(p.index) : "");
             std::string bytes;
-            encode_job_progress(bytes, p);
+            encode(bytes, p);
             relay_to_watchers(job, MsgType::kProgress, bytes);
           }
           return true;
         }
         case static_cast<std::uint8_t>(MsgType::kChildAudit): {
           std::string bytes;
-          ipc_append_pod(bytes, job->id);
-          ipc_append_string(bytes, frame.payload);
+          encode(bytes, JobAudit{job->id, frame.payload});
           relay_to_watchers(job, MsgType::kAudit, bytes);
           return true;
         }
@@ -742,9 +736,8 @@ struct DaemonLoop {
     if (!job->attempt_obs.empty()) job->attempt_obs.back().ended_sec = now;
 
     JobResult result;
-    std::size_t off = 0;
     if (ex.exit.failure == WorkerFailure::kNone &&
-        !parse_job_result(ex.result, off, result).ok()) {
+        !parse(ex.result, result).ok()) {
       ex.exit = WorkerExit{WorkerFailure::kProtocol};
       ex.detail = "malformed result frame";
     }

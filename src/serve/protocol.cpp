@@ -1,5 +1,8 @@
 #include "serve/protocol.h"
 
+#include <concepts>
+#include <type_traits>
+
 namespace rlccd {
 namespace serve {
 
@@ -67,207 +70,138 @@ bool job_state_terminal(JobState state) {
   return true;
 }
 
-// -- JobSpec ------------------------------------------------------------------
+// -- field lists --------------------------------------------------------------
 
-void encode_job_spec(std::string& out, const JobSpec& spec) {
-  ipc_append_string(out, spec.session);
-  ipc_append_pod(out, static_cast<std::uint8_t>(spec.kind));
-  ipc_append_string(out, spec.block);
-  ipc_append_pod(out, spec.scale);
-  ipc_append_pod(out, spec.iters);
-  ipc_append_pod(out, spec.rollout_workers);
-  ipc_append_pod(out, spec.seed);
-  ipc_append_pod(out, spec.priority);
-  ipc_append_pod(out, spec.deadline_sec);
-  ipc_append_pod(out, spec.noop_sec);
+namespace {
+
+// S is `const Msg` under a ByteWriter and `Msg` under a ByteReader; one
+// field list per message, overloaded on the message type.
+template <class S, class Msg>
+concept Walked = std::same_as<std::remove_const_t<S>, Msg>;
+
+// A progress event carries a handful of metrics; more is a corrupt frame.
+constexpr std::size_t kMaxProgressMetrics = 1024;
+
+template <class W, Walked<JobSpec> S>
+Status fields(W& w, S& spec) {
+  RLCCD_TRY(w.string(spec.session, "spec.session"));
+  RLCCD_TRY(w.enum8(spec.kind, JobKind::kNoop, "job kind"));
+  RLCCD_TRY(w.string(spec.block, "spec.block"));
+  RLCCD_TRY(w.pod(spec.scale, "spec.scale"));
+  RLCCD_TRY(w.pod(spec.iters, "spec.iters"));
+  RLCCD_TRY(w.pod(spec.rollout_workers, "spec.rollout_workers"));
+  RLCCD_TRY(w.pod(spec.seed, "spec.seed"));
+  RLCCD_TRY(w.pod(spec.priority, "spec.priority"));
+  RLCCD_TRY(w.pod(spec.deadline_sec, "spec.deadline_sec"));
+  return w.pod(spec.noop_sec, "spec.noop_sec");
 }
 
-Status parse_job_spec(std::string_view bytes, std::size_t& offset,
-                      JobSpec& spec) {
-  RLCCD_TRY(ipc_parse_string(bytes, offset, spec.session, "spec.session"));
-  std::uint8_t kind = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, kind, "spec.kind"));
-  if (kind > static_cast<std::uint8_t>(JobKind::kNoop)) {
-    return Status::corrupt("unknown job kind %u", kind);
-  }
-  spec.kind = static_cast<JobKind>(kind);
-  RLCCD_TRY(ipc_parse_string(bytes, offset, spec.block, "spec.block"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, spec.scale, "spec.scale"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, spec.iters, "spec.iters"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, spec.rollout_workers,
-                          "spec.rollout_workers"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, spec.seed, "spec.seed"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, spec.priority, "spec.priority"));
-  RLCCD_TRY(
-      ipc_parse_pod(bytes, offset, spec.deadline_sec, "spec.deadline_sec"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, spec.noop_sec, "spec.noop_sec"));
-  return Status();
+template <class W, Walked<JobStatus> S>
+Status fields(W& w, S& status) {
+  RLCCD_TRY(w.pod(status.job_id, "status.job_id"));
+  RLCCD_TRY(w.enum8(status.state, JobState::kDrained, "job state"));
+  RLCCD_TRY(w.string(status.session, "status.session"));
+  RLCCD_TRY(w.enum8(status.kind, JobKind::kNoop, "job kind"));
+  RLCCD_TRY(w.pod(status.attempts, "status.attempts"));
+  RLCCD_TRY(w.pod(status.iterations, "status.iterations"));
+  RLCCD_TRY(w.pod(status.best_tns, "status.best_tns"));
+  RLCCD_TRY(w.pod(status.default_tns, "status.default_tns"));
+  RLCCD_TRY(w.pod(status.selection_size, "status.selection_size"));
+  RLCCD_TRY(w.pod(status.result_digest, "status.result_digest"));
+  RLCCD_TRY(w.string(status.detail, "status.detail"));
+  RLCCD_TRY(w.string(status.postmortem, "status.postmortem"));
+  return w.string(status.trace, "status.trace");
 }
 
-// -- JobStatus ----------------------------------------------------------------
-
-void encode_job_status(std::string& out, const JobStatus& status) {
-  ipc_append_pod(out, status.job_id);
-  ipc_append_pod(out, static_cast<std::uint8_t>(status.state));
-  ipc_append_string(out, status.session);
-  ipc_append_pod(out, static_cast<std::uint8_t>(status.kind));
-  ipc_append_pod(out, status.attempts);
-  ipc_append_pod(out, status.iterations);
-  ipc_append_pod(out, status.best_tns);
-  ipc_append_pod(out, status.default_tns);
-  ipc_append_pod(out, status.selection_size);
-  ipc_append_pod(out, status.result_digest);
-  ipc_append_string(out, status.detail);
-  ipc_append_string(out, status.postmortem);
-  ipc_append_string(out, status.trace);
+template <class W, Walked<Hello> S>
+Status fields(W& w, S& hello) {
+  return w.pod(hello.version, "hello.version");
 }
 
-Status parse_job_status(std::string_view bytes, std::size_t& offset,
-                        JobStatus& status) {
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, status.job_id, "status.job_id"));
-  std::uint8_t state = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, state, "status.state"));
-  if (state > static_cast<std::uint8_t>(JobState::kDrained)) {
-    return Status::corrupt("unknown job state %u", state);
-  }
-  status.state = static_cast<JobState>(state);
-  RLCCD_TRY(ipc_parse_string(bytes, offset, status.session, "status.session"));
-  std::uint8_t kind = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, kind, "status.kind"));
-  if (kind > static_cast<std::uint8_t>(JobKind::kNoop)) {
-    return Status::corrupt("unknown job kind %u", kind);
-  }
-  status.kind = static_cast<JobKind>(kind);
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, status.attempts, "status.attempts"));
-  RLCCD_TRY(
-      ipc_parse_pod(bytes, offset, status.iterations, "status.iterations"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, status.best_tns, "status.best_tns"));
-  RLCCD_TRY(
-      ipc_parse_pod(bytes, offset, status.default_tns, "status.default_tns"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, status.selection_size,
-                          "status.selection_size"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, status.result_digest,
-                          "status.result_digest"));
-  RLCCD_TRY(ipc_parse_string(bytes, offset, status.detail, "status.detail"));
-  RLCCD_TRY(
-      ipc_parse_string(bytes, offset, status.postmortem, "status.postmortem"));
-  RLCCD_TRY(ipc_parse_string(bytes, offset, status.trace, "status.trace"));
-  return Status();
+template <class W, Walked<HelloReply> S>
+Status fields(W& w, S& reply) {
+  RLCCD_TRY(w.pod(reply.version, "hello.version"));
+  return w.pod(reply.daemon_pid, "hello.pid");
 }
 
-// -- small payloads -----------------------------------------------------------
-
-void encode_hello(std::string& out, const Hello& hello) {
-  ipc_append_pod(out, hello.version);
+template <class W, Walked<SubmitReply> S>
+Status fields(W& w, S& reply) {
+  RLCCD_TRY(w.as(kU8, reply.accepted, "submit.accepted"));
+  RLCCD_TRY(w.pod(reply.job_id, "submit.job_id"));
+  return w.string(reply.reason, "submit.reason");
 }
 
-Status parse_hello(std::string_view bytes, std::size_t& offset, Hello& hello) {
-  return ipc_parse_pod(bytes, offset, hello.version, "hello.version");
+template <class W, Walked<JobRef> S>
+Status fields(W& w, S& ref) {
+  return w.pod(ref.job_id, "job_ref.job_id");
 }
 
-void encode_hello_reply(std::string& out, const HelloReply& reply) {
-  ipc_append_pod(out, reply.version);
-  ipc_append_pod(out, reply.daemon_pid);
+template <class W, Walked<JobProgress> S>
+Status fields(W& w, S& progress) {
+  RLCCD_TRY(w.pod(progress.job_id, "progress.job_id"));
+  RLCCD_TRY(w.string(progress.phase, "progress.phase"));
+  RLCCD_TRY(w.string(progress.step, "progress.step"));
+  RLCCD_TRY(w.pod(progress.index, "progress.index"));
+  RLCCD_TRY(w.pod(progress.seconds, "progress.seconds"));
+  // A name length and a double value each.
+  return w.list(
+      kU32, progress.metrics, 12, "progress.metric_count",
+      [&](auto& metric) {
+        RLCCD_TRY(w.string(metric.first, "progress.metric_name"));
+        return w.pod(metric.second, "progress.metric_value");
+      },
+      kMaxProgressMetrics);
 }
 
-Status parse_hello_reply(std::string_view bytes, std::size_t& offset,
-                         HelloReply& reply) {
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, reply.version, "hello.version"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, reply.daemon_pid, "hello.pid"));
-  return Status();
+template <class W, Walked<JobAudit> S>
+Status fields(W& w, S& audit) {
+  RLCCD_TRY(w.pod(audit.job_id, "audit job id"));
+  return w.string(audit.line, "audit line");
 }
 
-void encode_submit_reply(std::string& out, const SubmitReply& reply) {
-  ipc_append_pod(out, static_cast<std::uint8_t>(reply.accepted ? 1 : 0));
-  ipc_append_pod(out, reply.job_id);
-  ipc_append_string(out, reply.reason);
+template <class W, Walked<JobResult> S>
+Status fields(W& w, S& result) {
+  RLCCD_TRY(w.as(kU8, result.drained, "result.drained"));
+  RLCCD_TRY(w.pod(result.iterations, "result.iterations"));
+  RLCCD_TRY(w.pod(result.best_tns, "result.best_tns"));
+  RLCCD_TRY(w.pod(result.default_tns, "result.default_tns"));
+  RLCCD_TRY(w.pod(result.selection_size, "result.selection_size"));
+  RLCCD_TRY(w.pod(result.digest, "result.digest"));
+  return w.string(result.detail, "result.detail");
 }
 
-Status parse_submit_reply(std::string_view bytes, std::size_t& offset,
-                          SubmitReply& reply) {
-  std::uint8_t accepted = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, accepted, "submit.accepted"));
-  reply.accepted = accepted != 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, reply.job_id, "submit.job_id"));
-  RLCCD_TRY(ipc_parse_string(bytes, offset, reply.reason, "submit.reason"));
-  return Status();
+}  // namespace
+
+template <class Msg>
+void encode(std::string& out, const Msg& msg) {
+  ByteWriter w(out);
+  (void)fields(w, msg);
 }
 
-void encode_job_ref(std::string& out, const JobRef& ref) {
-  ipc_append_pod(out, ref.job_id);
+template <class Msg>
+Status parse(std::string_view bytes, Msg& msg) {
+  ByteReader r(bytes);
+  return fields(r, msg);
 }
 
-Status parse_job_ref(std::string_view bytes, std::size_t& offset,
-                     JobRef& ref) {
-  return ipc_parse_pod(bytes, offset, ref.job_id, "job_ref.job_id");
-}
-
-// -- JobProgress --------------------------------------------------------------
-
-void encode_job_progress(std::string& out, const JobProgress& progress) {
-  ipc_append_pod(out, progress.job_id);
-  ipc_append_string(out, progress.phase);
-  ipc_append_string(out, progress.step);
-  ipc_append_pod(out, progress.index);
-  ipc_append_pod(out, progress.seconds);
-  ipc_append_pod(out, static_cast<std::uint32_t>(progress.metrics.size()));
-  for (const auto& [name, value] : progress.metrics) {
-    ipc_append_string(out, name);
-    ipc_append_pod(out, value);
-  }
-}
-
-Status parse_job_progress(std::string_view bytes, std::size_t& offset,
-                          JobProgress& progress) {
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, progress.job_id, "progress.job_id"));
-  RLCCD_TRY(ipc_parse_string(bytes, offset, progress.phase, "progress.phase"));
-  RLCCD_TRY(ipc_parse_string(bytes, offset, progress.step, "progress.step"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, progress.index, "progress.index"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, progress.seconds,
-                          "progress.seconds"));
-  std::uint32_t n = 0;  // name length + double value each
-  RLCCD_TRY(ipc_parse_count(bytes, offset, n, 12, "progress.metric_count"));
-  if (n > 1024) return Status::corrupt("absurd metric count %u", n);
-  progress.metrics.clear();
-  progress.metrics.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    double value = 0.0;
-    RLCCD_TRY(ipc_parse_string(bytes, offset, name, "progress.metric_name"));
-    RLCCD_TRY(ipc_parse_pod(bytes, offset, value, "progress.metric_value"));
-    progress.metrics.emplace_back(std::move(name), value);
-  }
-  return Status();
-}
-
-// -- JobResult ----------------------------------------------------------------
-
-void encode_job_result(std::string& out, const JobResult& result) {
-  ipc_append_pod(out, static_cast<std::uint8_t>(result.drained ? 1 : 0));
-  ipc_append_pod(out, result.iterations);
-  ipc_append_pod(out, result.best_tns);
-  ipc_append_pod(out, result.default_tns);
-  ipc_append_pod(out, result.selection_size);
-  ipc_append_pod(out, result.digest);
-  ipc_append_string(out, result.detail);
-}
-
-Status parse_job_result(std::string_view bytes, std::size_t& offset,
-                        JobResult& result) {
-  std::uint8_t drained = 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, drained, "result.drained"));
-  result.drained = drained != 0;
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, result.iterations,
-                          "result.iterations"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, result.best_tns, "result.best_tns"));
-  RLCCD_TRY(
-      ipc_parse_pod(bytes, offset, result.default_tns, "result.default_tns"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, result.selection_size,
-                          "result.selection_size"));
-  RLCCD_TRY(ipc_parse_pod(bytes, offset, result.digest, "result.digest"));
-  RLCCD_TRY(ipc_parse_string(bytes, offset, result.detail, "result.detail"));
-  return Status();
-}
+template void encode(std::string&, const JobSpec&);
+template void encode(std::string&, const JobStatus&);
+template void encode(std::string&, const Hello&);
+template void encode(std::string&, const HelloReply&);
+template void encode(std::string&, const SubmitReply&);
+template void encode(std::string&, const JobRef&);
+template void encode(std::string&, const JobProgress&);
+template void encode(std::string&, const JobAudit&);
+template void encode(std::string&, const JobResult&);
+template Status parse(std::string_view, JobSpec&);
+template Status parse(std::string_view, JobStatus&);
+template Status parse(std::string_view, Hello&);
+template Status parse(std::string_view, HelloReply&);
+template Status parse(std::string_view, SubmitReply&);
+template Status parse(std::string_view, JobRef&);
+template Status parse(std::string_view, JobProgress&);
+template Status parse(std::string_view, JobAudit&);
+template Status parse(std::string_view, JobResult&);
 
 }  // namespace serve
 }  // namespace rlccd

@@ -4,9 +4,10 @@
 // same length-prefixed frames as the rollout-isolation pipes (common/ipc.h):
 // [type u8][len u32 LE][payload]. This header owns the frame-type namespace
 // above the supervisor's 1..3 range, the plain-data message structs, and
-// their byte codecs (built on the ipc_append_* / ipc_parse_* vocabulary, so
-// a truncated or corrupt payload surfaces as a diagnosable Status instead
-// of garbage).
+// one encode and one parse for all of them. Each message's layout is one
+// field list in protocol.cpp, walked by common/ipc.h's ByteWriter and
+// ByteReader, so a truncated or corrupt payload surfaces as a diagnosable
+// Status instead of garbage.
 //
 // Conversation shape:
 //   client                          daemon
@@ -29,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -99,10 +101,6 @@ struct JobSpec {
   double noop_sec = 0.05;  // kNoop: simulated work duration
 };
 
-void encode_job_spec(std::string& out, const JobSpec& spec);
-Status parse_job_spec(std::string_view bytes, std::size_t& offset,
-                      JobSpec& spec);
-
 // -- job lifecycle ------------------------------------------------------------
 
 // Every admitted job ends in exactly one of the terminal states (kDone,
@@ -143,10 +141,6 @@ struct JobStatus {
   std::string trace;
 };
 
-void encode_job_status(std::string& out, const JobStatus& status);
-Status parse_job_status(std::string_view bytes, std::size_t& offset,
-                        JobStatus& status);
-
 // -- small request/reply payloads ---------------------------------------------
 
 struct Hello {
@@ -167,17 +161,6 @@ struct JobRef {  // kPoll / kWatch / kCancel
   std::uint64_t job_id = 0;
 };
 
-void encode_hello(std::string& out, const Hello& hello);
-Status parse_hello(std::string_view bytes, std::size_t& offset, Hello& hello);
-void encode_hello_reply(std::string& out, const HelloReply& reply);
-Status parse_hello_reply(std::string_view bytes, std::size_t& offset,
-                         HelloReply& reply);
-void encode_submit_reply(std::string& out, const SubmitReply& reply);
-Status parse_submit_reply(std::string_view bytes, std::size_t& offset,
-                          SubmitReply& reply);
-void encode_job_ref(std::string& out, const JobRef& ref);
-Status parse_job_ref(std::string_view bytes, std::size_t& offset, JobRef& ref);
-
 // -- streamed progress --------------------------------------------------------
 
 // A ProgressEvent flattened for the wire: the job worker serializes its
@@ -192,9 +175,12 @@ struct JobProgress {
   std::vector<std::pair<std::string, double>> metrics;
 };
 
-void encode_job_progress(std::string& out, const JobProgress& progress);
-Status parse_job_progress(std::string_view bytes, std::size_t& offset,
-                          JobProgress& progress);
+// An audit JSONL line relayed to a watching client (kAudit); the job worker
+// sends the bare line (kChildAudit) and the daemon stamps the job id.
+struct JobAudit {
+  std::uint64_t job_id = 0;
+  std::string line;
+};
 
 // -- job worker result --------------------------------------------------------
 
@@ -209,9 +195,18 @@ struct JobResult {
   std::string detail;
 };
 
-void encode_job_result(std::string& out, const JobResult& result);
-Status parse_job_result(std::string_view bytes, std::size_t& offset,
-                        JobResult& result);
+// -- codec --------------------------------------------------------------------
+
+// Msg is any message struct above: JobSpec, JobStatus, Hello, HelloReply,
+// SubmitReply, JobRef, JobProgress, JobAudit or JobResult.
+// Appends msg's bytes to `out`.
+template <class Msg>
+void encode(std::string& out, const Msg& msg);
+// Reads one message from the front of `bytes`. A truncated field, an
+// unknown enum value or a list count its bytes cannot hold is corrupt;
+// bytes after the message's last field are not read.
+template <class Msg>
+Status parse(std::string_view bytes, Msg& msg);
 
 }  // namespace serve
 }  // namespace rlccd

@@ -340,28 +340,23 @@ TEST(DecoderFuzz, ParameterFile) {
   std::remove(saved.c_str());
 }
 
-// A serve message codec as a Codec over one value of type T.
 template <class T>
-Codec serve_codec(T& value,
-                  Status (*parse)(std::string_view, std::size_t&, T&),
-                  void (*encode)(std::string&, const T&)) {
-  return {[&value, parse](std::string_view b) {
-            value = T{};
-            std::size_t offset = 0;
-            return parse(b, offset, value);
-          },
-          [&value, encode] {
-            std::string out;
-            encode(out, value);
-            return out;
-          }};
+std::string encoded(const T& v) {
+  std::string out;
+  serve::encode(out, v);
+  return out;
 }
 
+// Sweeps a serve message's codec, seeded with `rich` and a default T.
 template <class T>
-std::string encoded(void (*encode)(std::string&, const T&), const T& v) {
-  std::string out;
-  encode(out, v);
-  return out;
+void sweep_serve(const char* name, const T& rich) {
+  T value;
+  sweep(name, {encoded(rich), encoded(T{})},
+        {[&value](std::string_view b) {
+           value = T{};
+           return serve::parse(b, value);
+         },
+         [&value] { return encoded(value); }});
 }
 
 TEST(DecoderFuzz, ServeProtocol) {
@@ -372,10 +367,7 @@ TEST(DecoderFuzz, ServeProtocol) {
   spec.block = "block7";
   spec.seed = 0xDEADBEEFull;
   spec.priority = -3;
-  JobSpec spec_value;
-  sweep("job_spec",
-        {encoded(encode_job_spec, spec), encoded(encode_job_spec, JobSpec{})},
-        serve_codec(spec_value, parse_job_spec, encode_job_spec));
+  sweep_serve("job_spec", spec);
 
   JobStatus status;
   status.job_id = 77;
@@ -387,11 +379,7 @@ TEST(DecoderFuzz, ServeProtocol) {
   status.detail = "resumed from ckpt-000002";
   status.postmortem = "/w/pm.json";
   status.trace = "/w/trace.json";
-  JobStatus status_value;
-  sweep("job_status",
-        {encoded(encode_job_status, status),
-         encoded(encode_job_status, JobStatus{})},
-        serve_codec(status_value, parse_job_status, encode_job_status));
+  sweep_serve("job_status", status);
 
   JobProgress progress;
   progress.job_id = 5;
@@ -400,11 +388,7 @@ TEST(DecoderFuzz, ServeProtocol) {
   progress.index = 3;
   progress.seconds = 1.25;
   progress.metrics = {{"tns", -3.5}, {"reward", 0.25}};
-  JobProgress progress_value;
-  sweep("job_progress",
-        {encoded(encode_job_progress, progress),
-         encoded(encode_job_progress, JobProgress{})},
-        serve_codec(progress_value, parse_job_progress, encode_job_progress));
+  sweep_serve("job_progress", progress);
 
   JobResult result;
   result.drained = true;
@@ -412,20 +396,12 @@ TEST(DecoderFuzz, ServeProtocol) {
   result.best_tns = -2.0;
   result.digest = 0x1234u;
   result.detail = "done";
-  JobResult result_value;
-  sweep("job_result",
-        {encoded(encode_job_result, result),
-         encoded(encode_job_result, JobResult{})},
-        serve_codec(result_value, parse_job_result, encode_job_result));
+  sweep_serve("job_result", result);
 
   SubmitReply reply;
   reply.job_id = 9;
   reply.reason = "queue full";
-  SubmitReply reply_value;
-  sweep("submit_reply",
-        {encoded(encode_submit_reply, reply),
-         encoded(encode_submit_reply, SubmitReply{})},
-        serve_codec(reply_value, parse_submit_reply, encode_submit_reply));
+  sweep_serve("submit_reply", reply);
 }
 
 TEST(DecoderFuzz, Json) {

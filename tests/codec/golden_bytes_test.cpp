@@ -26,25 +26,17 @@ namespace {
 using testing::temp_path;
 
 // The serve codec under test, one message type at a time.
-#define RLCCD_SERVE_CODEC(Msg, encode_fn, parse_fn)              \
-  std::string serve_bytes(const serve::Msg& msg) {              \
-    std::string out;                                            \
-    serve::encode_fn(out, msg);                                 \
-    return out;                                                 \
-  }                                                             \
-  Status serve_parse(std::string_view bytes, serve::Msg& msg) { \
-    std::size_t offset = 0;                                     \
-    return serve::parse_fn(bytes, offset, msg);                 \
-  }
-RLCCD_SERVE_CODEC(JobSpec, encode_job_spec, parse_job_spec)
-RLCCD_SERVE_CODEC(JobStatus, encode_job_status, parse_job_status)
-RLCCD_SERVE_CODEC(Hello, encode_hello, parse_hello)
-RLCCD_SERVE_CODEC(HelloReply, encode_hello_reply, parse_hello_reply)
-RLCCD_SERVE_CODEC(SubmitReply, encode_submit_reply, parse_submit_reply)
-RLCCD_SERVE_CODEC(JobRef, encode_job_ref, parse_job_ref)
-RLCCD_SERVE_CODEC(JobProgress, encode_job_progress, parse_job_progress)
-RLCCD_SERVE_CODEC(JobResult, encode_job_result, parse_job_result)
-#undef RLCCD_SERVE_CODEC
+template <class Msg>
+std::string serve_bytes(const Msg& msg) {
+  std::string out;
+  serve::encode(out, msg);
+  return out;
+}
+
+template <class Msg>
+Status serve_parse(std::string_view bytes, Msg& msg) {
+  return serve::parse(bytes, msg);
+}
 
 std::string file_bytes(const std::string& path) {
   std::string bytes;
@@ -195,6 +187,13 @@ TEST(GoldenBytes, ServeMessages) {
   progress.seconds = 1.25;
   progress.metrics = {{"tns", -3.5}, {"reward", 0.25}};
   expect_serve_golden(progress, 79, 0x57af4744u);
+
+  // The relayed audit line's layout predates its message struct: the job
+  // id as u64, then the line as a u32-length string.
+  JobAudit audit;
+  audit.job_id = 12;
+  audit.line = R"({"kind":"rollout","iteration":3})";
+  expect_serve_golden(audit, 44, 0x6fb24a99u);
 
   JobResult result;
   result.drained = true;

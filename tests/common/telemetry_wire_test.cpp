@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/ipc.h"
 #include "common/metric_names.h"
 #include "common/telemetry.h"
 
@@ -47,12 +48,13 @@ TelemetrySnapshot rich_snapshot() {
 TEST(TelemetryWire, SnapshotCodecRoundTrip) {
   const TelemetrySnapshot snap = rich_snapshot();
   std::string bytes;
-  append_telemetry_snapshot(bytes, snap);
+  ByteWriter w(bytes);
+  ASSERT_TRUE(telemetry_snapshot_fields(w, snap).ok());
 
   TelemetrySnapshot back;
-  std::size_t offset = 0;
-  ASSERT_TRUE(parse_telemetry_snapshot(bytes, offset, back).ok());
-  EXPECT_EQ(offset, bytes.size());
+  ByteReader r(bytes);
+  ASSERT_TRUE(telemetry_snapshot_fields(r, back).ok());
+  EXPECT_TRUE(r.finish().ok());
   EXPECT_EQ(back.to_json(), snap.to_json());
   EXPECT_EQ(back.counter("test.alpha"), 7u);
   EXPECT_EQ(back.gauge("test.depth"), -3);

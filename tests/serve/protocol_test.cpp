@@ -25,11 +25,12 @@ TEST(ServeProtocol, JobSpecRoundTrips) {
   spec.noop_sec = 0.125;
 
   std::string bytes;
-  encode_job_spec(bytes, spec);
+  encode(bytes, spec);
   JobSpec out;
-  std::size_t off = 0;
-  ASSERT_TRUE(parse_job_spec(bytes, off, out).ok());
-  EXPECT_EQ(off, bytes.size());
+  ASSERT_TRUE(parse(bytes, out).ok());
+  std::string again;
+  encode(again, out);
+  EXPECT_EQ(again, bytes);
   EXPECT_EQ(out.session, spec.session);
   EXPECT_EQ(out.kind, spec.kind);
   EXPECT_EQ(out.block, spec.block);
@@ -45,11 +46,10 @@ TEST(ServeProtocol, JobSpecRoundTrips) {
 TEST(ServeProtocol, TruncatedSpecIsCorruptNotCrash) {
   JobSpec spec;
   std::string bytes;
-  encode_job_spec(bytes, spec);
+  encode(bytes, spec);
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     JobSpec out;
-    std::size_t off = 0;
-    Status s = parse_job_spec(std::string_view(bytes).substr(0, cut), off, out);
+    Status s = parse(std::string_view(bytes).substr(0, cut), out);
     EXPECT_FALSE(s.ok()) << "cut at byte " << cut;
   }
 }
@@ -57,13 +57,12 @@ TEST(ServeProtocol, TruncatedSpecIsCorruptNotCrash) {
 TEST(ServeProtocol, UnknownJobKindRejected) {
   JobSpec spec;
   std::string bytes;
-  encode_job_spec(bytes, spec);
+  encode(bytes, spec);
   // The kind byte follows the session string ([u32 len][bytes]).
   const std::size_t kind_at = sizeof(std::uint32_t) + spec.session.size();
   bytes[kind_at] = static_cast<char>(0x7F);
   JobSpec out;
-  std::size_t off = 0;
-  Status s = parse_job_spec(bytes, off, out);
+  Status s = parse(bytes, out);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kCorrupt);
 }
@@ -86,10 +85,9 @@ TEST(ServeProtocol, JobStatusRoundTripsEveryState) {
     st.trace = "/ws/7/trace-7.json";
 
     std::string bytes;
-    encode_job_status(bytes, st);
+    encode(bytes, st);
     JobStatus out;
-    std::size_t off = 0;
-    ASSERT_TRUE(parse_job_status(bytes, off, out).ok()) << raw;
+    ASSERT_TRUE(parse(bytes, out).ok()) << raw;
     EXPECT_EQ(out.state, st.state);
     EXPECT_EQ(out.job_id, st.job_id);
     EXPECT_EQ(out.result_digest, st.result_digest);
@@ -114,30 +112,27 @@ TEST(ServeProtocol, HelloAndSubmitReplyRoundTrip) {
   Hello hello;
   hello.version = 7;
   std::string bytes;
-  encode_hello(bytes, hello);
+  encode(bytes, hello);
   Hello h2;
-  std::size_t off = 0;
-  ASSERT_TRUE(parse_hello(bytes, off, h2).ok());
+  ASSERT_TRUE(parse(bytes, h2).ok());
   EXPECT_EQ(h2.version, 7u);
 
   HelloReply hr;
   hr.version = 1;
   hr.daemon_pid = 4242;
   bytes.clear();
-  encode_hello_reply(bytes, hr);
+  encode(bytes, hr);
   HelloReply hr2;
-  off = 0;
-  ASSERT_TRUE(parse_hello_reply(bytes, off, hr2).ok());
+  ASSERT_TRUE(parse(bytes, hr2).ok());
   EXPECT_EQ(hr2.daemon_pid, 4242u);
 
   SubmitReply rej;
   rej.accepted = false;
   rej.reason = "queue full (64/64 jobs)";
   bytes.clear();
-  encode_submit_reply(bytes, rej);
+  encode(bytes, rej);
   SubmitReply rej2;
-  off = 0;
-  ASSERT_TRUE(parse_submit_reply(bytes, off, rej2).ok());
+  ASSERT_TRUE(parse(bytes, rej2).ok());
   EXPECT_FALSE(rej2.accepted);
   EXPECT_EQ(rej2.reason, rej.reason);
 }
@@ -152,15 +147,43 @@ TEST(ServeProtocol, JobProgressRoundTripsMetrics) {
   p.metrics = {{"best_tns", -3.25}, {"mean_steps", 11.0}};
 
   std::string bytes;
-  encode_job_progress(bytes, p);
+  encode(bytes, p);
   JobProgress out;
-  std::size_t off = 0;
-  ASSERT_TRUE(parse_job_progress(bytes, off, out).ok());
+  ASSERT_TRUE(parse(bytes, out).ok());
   EXPECT_EQ(out.job_id, 5u);
   EXPECT_EQ(out.phase, "train");
   ASSERT_EQ(out.metrics.size(), 2u);
   EXPECT_EQ(out.metrics[1].first, "mean_steps");
   EXPECT_EQ(out.metrics[1].second, 11.0);
+}
+
+TEST(ServeProtocol, ProgressMetricCountIsCapped) {
+  JobProgress p;
+  p.metrics.assign(1024, {"m", 1.0});
+  std::string bytes;
+  encode(bytes, p);
+  JobProgress out;
+  ASSERT_TRUE(parse(bytes, out).ok());
+  EXPECT_EQ(out.metrics.size(), 1024u);
+
+  p.metrics.emplace_back("m", 1.0);
+  bytes.clear();
+  encode(bytes, p);
+  Status s = parse(bytes, out);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kCorrupt);
+}
+
+TEST(ServeProtocol, AuditLineRoundTrips) {
+  JobAudit audit;
+  audit.job_id = 12;
+  audit.line = R"({"kind":"rollout","steps":3})";
+  std::string bytes;
+  encode(bytes, audit);
+  JobAudit out;
+  ASSERT_TRUE(parse(bytes, out).ok());
+  EXPECT_EQ(out.job_id, 12u);
+  EXPECT_EQ(out.line, audit.line);
 }
 
 TEST(ServeProtocol, JobResultRoundTrips) {
@@ -174,10 +197,9 @@ TEST(ServeProtocol, JobResultRoundTrips) {
   r.detail = "drained at 9/12 iters";
 
   std::string bytes;
-  encode_job_result(bytes, r);
+  encode(bytes, r);
   JobResult out;
-  std::size_t off = 0;
-  ASSERT_TRUE(parse_job_result(bytes, off, out).ok());
+  ASSERT_TRUE(parse(bytes, out).ok());
   EXPECT_TRUE(out.drained);
   EXPECT_EQ(out.iterations, 9);
   EXPECT_EQ(out.digest, r.digest);
