@@ -9,9 +9,9 @@
 //     --flow-cache-mb 0, reporting wall-clock and the realized hit rate
 //     (policy-dependent, so the honest end-to-end number).
 //
-// The speedup / hit-rate ratios land in BENCH_rollout_cache.json and are
-// guarded by rlccd_report --max-speedup-regress in CI; absolute times are
-// informational.
+// The ratios land in BENCH_rollout_cache.json; rlccd_report
+// --max-work-ratio-regress guards the hit rate in CI, and the speedups and
+// absolute times are informational.
 #include <chrono>
 #include <cstdio>
 #include <string>

@@ -2,15 +2,11 @@
 // update() engine versus the same flow forced to full recomputes
 // (StaConfig::incremental = false). Reports wall-clock speedup and the
 // reduction in propagated pin updates (the engine's work metric).
-//
-// Also measures the flight-recorder tax: the same incremental flow with the
-// trace ring enabled, which must stay within ~2% of the untraced run.
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <utility>
 
-#include "common/trace.h"
 #include "core/rlccd.h"
 
 namespace rlccd {
@@ -152,23 +148,9 @@ int main(int argc, char** argv) {
               static_cast<double>(full.pin_updates) /
                   static_cast<double>(inc.pin_updates));
 
-  TraceRecorder::global().enable();
-  FlowCost traced = measure_flow(d, /*incremental=*/true, kRepeats);
-  TraceRecorder::global().disable();
-  std::printf("\ntracing overhead (incremental flow, ring enabled):\n");
-  std::printf("  untraced  : %8.3f ms\n", 1e3 * inc.seconds);
-  std::printf("  traced    : %8.3f ms  (%llu events, %llu dropped)\n",
-              1e3 * traced.seconds,
-              static_cast<unsigned long long>(
-                  TraceRecorder::global().buffered_events()),
-              static_cast<unsigned long long>(
-                  TraceRecorder::global().dropped_events()));
-  std::printf("  overhead %+.2f%%\n",
-              100.0 * (traced.seconds - inc.seconds) / inc.seconds);
-
-  // Bench document for rlccd_report: the speedup / reduction ratios are
-  // checked against the committed baseline in CI, the absolute times are
-  // informational.
+  // Bench document for rlccd_report: the pin-update reductions are checked
+  // against the committed baseline in CI; the speedups and absolute times
+  // are informational.
   if (!json_path.empty()) {
     const std::pair<const char*, double> metrics[] = {
         {"single_edit_full_ms", 1e3 * edits.sec_full},
@@ -182,8 +164,6 @@ int main(int argc, char** argv) {
         {"flow_speedup", full.seconds / inc.seconds},
         {"flow_pin_reduction", static_cast<double>(full.pin_updates) /
                                    static_cast<double>(inc.pin_updates)},
-        {"trace_overhead_pct",
-         100.0 * (traced.seconds - inc.seconds) / inc.seconds},
     };
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {

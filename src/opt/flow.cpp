@@ -201,7 +201,7 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
   }
   if (cancelled("skew_touchup")) return finalize();
 
-  if (config.legalize) {
+  {
     RLCCD_SPAN("legalize");
     const double t0 = now_sec();
     GlobalPlacer::legalize(netlist, input.die);
@@ -214,11 +214,8 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
     const double t0 = now_sec();
     SizingConfig fin = sizing;
     fin.max_upsize_moves = std::max(16, fin.max_upsize_moves / 2);
-    if (config.enable_power_recovery) {
-      fin.max_downsize_moves =
-          std::max(16, static_cast<int>(cells * 0.04));
-      fin.downsize_slack_margin = 0.08 * input.clock_period;
-    }
+    fin.max_downsize_moves = std::max(16, static_cast<int>(cells * 0.04));
+    fin.downsize_slack_margin = 0.08 * input.clock_period;
     SizingResult r = run_sizing(sta, netlist, fin);
     result.cells_upsized += r.upsized;
     result.cells_downsized += r.downsized;

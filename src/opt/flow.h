@@ -58,8 +58,6 @@ struct FlowConfig {
   double buffer_budget_frac = 0.010;
   double restructure_budget_frac = 0.02;
   int pre_ccd_sizing_moves = 48;
-  bool enable_power_recovery = true;
-  bool legalize = true;
   MarginMode margin_mode = MarginMode::OverFixToWns;
   // Streams per-step ProgressEvents (phase "flow"); fires on the thread
   // running this flow. Not owned; must outlive the run. Must be null when

@@ -79,9 +79,10 @@ struct RunReport {
 
   // From BENCH_*.json files (the bench binaries' --json output): flat
   // metric names prefixed with the bench name ("incremental.flow_speedup"),
-  // sorted by name. Ratio metrics (names containing "speedup" or
-  // "reduction") are hardware-comparable and participate in the diff
-  // verdict; absolute times are informational only.
+  // sorted by name. Work ratios (names containing "reduction" or
+  // "hit_rate") are fixed by the benches' seeds and participate in the diff
+  // verdict; speedups and absolute times are wall-clock readings and are
+  // informational only.
   std::vector<std::pair<std::string, double>> bench_metrics;
   bool has_bench = false;
 
@@ -144,11 +145,11 @@ struct DiffThresholds {
   // regression).
   double max_runtime_regress_pct = 10.0;
   double max_tns_regress_pct = 2.0;
-  // Allowed drop in bench ratio metrics (speedups / work reductions, higher
-  // is better) before the diff fails. Ratios are checked instead of
-  // absolute times because CI hardware varies run to run; negative
-  // disables.
-  double max_speedup_regress_pct = 25.0;
+  // Allowed drop in bench work ratios (pin-update reductions, cache hit
+  // rates; higher is better) before the diff fails. Only work is checked:
+  // speedups and absolute times move with the machine and from run to run;
+  // negative disables.
+  double max_work_ratio_regress_pct = 25.0;
 };
 
 struct ReportDiff {

@@ -21,6 +21,10 @@ namespace rlccd {
 
 namespace {
 
+// The REINFORCE baseline is a moving average of the iterations' mean
+// rewards; this is the previous baseline's weight in it.
+constexpr double kBaselineDecay = 0.7;
+
 // Moves an isolated worker's shipped gradients into the parent's clone of
 // that worker, where the thread backend leaves them too. The shapes arrive
 // over a pipe, so they are checked against the policy's parameters.
@@ -56,7 +60,6 @@ ReinforceTrainer::ReinforceTrainer(const Design* design, Policy* policy,
       evaluator_(design, config_.flow, cache_.get()) {
   RLCCD_EXPECTS(design != nullptr && policy != nullptr);
   RLCCD_EXPECTS(config.workers >= 1);
-  RLCCD_EXPECTS(config.checkpoint_every >= 1);
   RLCCD_EXPECTS(config.rollback_after >= 1);
   // With isolated workers the reward flows run inside forked children:
   // a flow observer would fire against copy-on-write state and a parent
@@ -681,8 +684,8 @@ TrainStats ReinforceTrainer::train() {
       baseline = is.mean_reward;
       baseline_init = true;
     } else {
-      baseline = config_.baseline_decay * baseline +
-                 (1.0 - config_.baseline_decay) * is.mean_reward;
+      baseline = kBaselineDecay * baseline +
+                 (1.0 - kBaselineDecay) * is.mean_reward;
     }
 
     ++stall;
@@ -691,8 +694,8 @@ TrainStats ReinforceTrainer::train() {
         iter, is.mean_tns, stats.best_tns, stats.default_tns, is.mean_steps);
 
     last_good = capture(iter + 1);
-    if (!config_.checkpoint_dir.empty() &&
-        stats.iterations % config_.checkpoint_every == 0) {
+    // A checkpoint after every completed iteration.
+    if (!config_.checkpoint_dir.empty()) {
       const std::string path =
           checkpoint_path(config_.checkpoint_dir, stats.iterations);
       Status s = save_checkpoint(last_good, path);

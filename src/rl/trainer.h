@@ -54,7 +54,6 @@ struct TrainConfig {
   double lr = 2e-3;
   double grad_clip = 5.0;
   double overlap_threshold = 0.3;  // rho (paper default)
-  double baseline_decay = 0.7;
   // Flow-outcome cache cap in MiB (rl/flow_cache.h): memoizes reward
   // evaluations by netlist-state hash for this run, so a selection set the
   // policy has already sampled skips the whole placement flow. Outcomes are
@@ -81,9 +80,9 @@ struct TrainConfig {
   AuditSink* audit = nullptr;
 
   // --- Fault tolerance ---
-  // Directory for ckpt-NNNNNN.rlccd files; empty disables checkpointing.
+  // Directory for ckpt-NNNNNN.rlccd files, one written after every
+  // completed iteration; empty disables checkpointing.
   std::string checkpoint_dir;
-  int checkpoint_every = 1;  // write every N completed iterations
   // Resume from the newest valid checkpoint in checkpoint_dir (falling back
   // to older ones when the newest is corrupt). A resumed run replays the
   // remaining iterations bit-identically to an uninterrupted run.

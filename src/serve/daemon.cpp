@@ -46,6 +46,13 @@ constexpr std::uint64_t kRetrySeed = 1;
 constexpr std::size_t kMaxAttemptEvents = 1u << 16;
 constexpr std::size_t kPostmortemTail = 512;
 
+// Connected clients the daemon serves at once; more are refused at accept.
+constexpr int kMaxClients = 64;
+// A client whose unsent output passes this bound is disconnected
+// (backpressure: a stalled reader must not buffer the daemon into the
+// ground).
+constexpr std::size_t kClientOutbufLimit = 8u << 20;
+
 // ===========================================================================
 // Child side: one forked process per job attempt.
 // ===========================================================================
@@ -191,7 +198,6 @@ std::string run_job_child(const Job& job, const ServeConfig& cfg,
     rc.train.workers = job.spec.rollout_workers;
     rc.train.seed = job.spec.seed;
     rc.train.checkpoint_dir = job.workspace + "/ckpts";
-    rc.train.checkpoint_every = 1;
     rc.train.resume = job.resume;
     rc.train.cancel = &cancel;
     rc.train.observer = &progress;
@@ -309,7 +315,7 @@ struct DaemonLoop {
     if (c.dead) return;
     ipc_append_frame(c.outbuf, static_cast<std::uint8_t>(type), payload);
     flush_client(c);
-    if (c.outbuf.size() > cfg.client_outbuf_limit) {
+    if (c.outbuf.size() > kClientOutbufLimit) {
       RLCCD_LOG_WARN("serve: client fd %d over outbuf limit (%zu bytes); "
                      "dropping (backpressure)",
                      c.fd, c.outbuf.size());
@@ -1125,9 +1131,9 @@ struct DaemonLoop {
         ::close(fd);
         continue;
       }
-      if (static_cast<int>(clients.size()) >= cfg.max_clients) {
+      if (static_cast<int>(clients.size()) >= kMaxClients) {
         RLCCD_LOG_WARN("serve: client limit %d reached; refusing fd %d",
-                       cfg.max_clients, fd);
+                       kMaxClients, fd);
         ::close(fd);
         continue;
       }

@@ -70,12 +70,6 @@ struct ServeConfig {
   // kStatsWatch subscribers get a fresh stats JSON push this often while
   // subscribed (the first push is immediate). <= 0 disables pushes.
   double stats_push_interval_sec = 0.25;
-
-  int max_clients = 64;
-  // A client whose unsent output passes this bound is disconnected
-  // (backpressure: a stalled reader must not buffer the daemon into the
-  // ground).
-  std::size_t client_outbuf_limit = 8u << 20;
 };
 
 class ServeDaemon {

@@ -454,48 +454,59 @@ TEST(ReportBench, LoadRunPicksUpBenchFilesInDirectory) {
   fs::remove_all(dir);
 }
 
-RunReport bench_run(double speedup, double pass_ms) {
+RunReport bench_run(double speedup, double reduction, double pass_ms) {
   RunReport r;
-  char buf[160];
+  char buf[200];
   std::snprintf(buf, sizeof buf,
-                R"({"bench":"sta_kernels","metrics":)"
-                R"({"speedup_t8":%f,"full_pass_t1_ms":%f}})",
-                speedup, pass_ms);
+                R"({"bench":"incremental","metrics":{"flow_speedup":%f,)"
+                R"("flow_pin_reduction":%f,"flow_inc_ms":%f}})",
+                speedup, reduction, pass_ms);
   EXPECT_TRUE(parse_bench_json(buf, r).ok());
   return r;
 }
 
 TEST(ReportBench, DiffChecksRatiosButNotAbsoluteTimes) {
-  RunReport base = bench_run(2.0, 4.0);
-  // Speedup down 50% (past the 25% threshold), wall time 3x slower.
-  ReportDiff bad = diff_runs(base, bench_run(1.0, 12.0), DiffThresholds{});
+  RunReport base = bench_run(2.0, 5.0, 4.0);
+  // Pin-update reduction down 50% (past the 25% threshold); the speedup,
+  // down 50% too, and the 3x slower wall time are informational.
+  ReportDiff bad =
+      diff_runs(base, bench_run(1.0, 2.5, 12.0), DiffThresholds{});
   EXPECT_TRUE(bad.regressed());
-  bool saw_speedup = false, saw_ms = false;
+  bool saw_reduction = false, saw_speedup = false, saw_ms = false;
   for (const ReportDiff::Entry& e : bad.entries) {
-    if (e.name == "sta_kernels.speedup_t8") {
-      saw_speedup = true;
+    if (e.name == "incremental.flow_pin_reduction") {
+      saw_reduction = true;
       EXPECT_TRUE(e.checked);
       EXPECT_TRUE(e.regressed);
     }
-    if (e.name == "sta_kernels.full_pass_t1_ms") {
+    if (e.name == "incremental.flow_speedup") {
+      saw_speedup = true;  // a wall-clock ratio: varies run to run
+      EXPECT_FALSE(e.checked);
+      EXPECT_FALSE(e.regressed);
+    }
+    if (e.name == "incremental.flow_inc_ms") {
       saw_ms = true;  // informational: hardware-dependent, never checked
       EXPECT_FALSE(e.checked);
       EXPECT_FALSE(e.regressed);
     }
   }
+  EXPECT_TRUE(saw_reduction);
   EXPECT_TRUE(saw_speedup);
   EXPECT_TRUE(saw_ms);
 
-  // Within threshold (-10%) or improving passes.
-  EXPECT_FALSE(diff_runs(base, bench_run(1.8, 4.0), DiffThresholds{})
+  // The same work done slower passes; so does a reduction within the
+  // threshold (-10%) or an improving one.
+  EXPECT_FALSE(diff_runs(base, bench_run(0.5, 5.0, 40.0), DiffThresholds{})
                    .regressed());
-  EXPECT_FALSE(diff_runs(base, bench_run(3.0, 2.0), DiffThresholds{})
+  EXPECT_FALSE(diff_runs(base, bench_run(2.0, 4.5, 4.0), DiffThresholds{})
+                   .regressed());
+  EXPECT_FALSE(diff_runs(base, bench_run(3.0, 6.0, 2.0), DiffThresholds{})
                    .regressed());
 
-  // Negative threshold disables the ratio check entirely.
+  // Negative threshold disables the work-ratio check entirely.
   DiffThresholds off;
-  off.max_speedup_regress_pct = -1.0;
-  EXPECT_FALSE(diff_runs(base, bench_run(0.5, 40.0), off).regressed());
+  off.max_work_ratio_regress_pct = -1.0;
+  EXPECT_FALSE(diff_runs(base, bench_run(0.5, 1.0, 40.0), off).regressed());
 }
 
 RunReport cache_run(double hit_rate, double cached_ms) {
@@ -510,8 +521,8 @@ RunReport cache_run(double hit_rate, double cached_ms) {
 }
 
 TEST(ReportBench, DiffGuardsCacheHitRateAsRatio) {
-  // hit_rate metrics join speedups/reductions in the CI-guarded ratio
-  // family: a collapsing flow-cache hit rate fails the perf diff even when
+  // hit_rate metrics join the pin-update reductions as CI-guarded work
+  // ratios: a collapsing flow-cache hit rate fails the perf diff even when
   // wall-clock stays flat; the absolute cached time stays informational.
   RunReport base = cache_run(0.75, 8.0);
   ReportDiff bad = diff_runs(base, cache_run(0.25, 8.0), DiffThresholds{});

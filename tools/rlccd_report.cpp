@@ -5,7 +5,7 @@
 //   rlccd_report --diff <base> <candidate>   # compare two runs
 //             [--max-runtime-regress PCT]    # default 10 (negative: off)
 //             [--max-tns-regress PCT]        # default 2  (negative: off)
-//             [--max-speedup-regress PCT]    # default 25 (negative: off)
+//             [--max-work-ratio-regress PCT] # default 25 (negative: off)
 //             [--json FILE]                  # write machine-readable diff
 //
 // A <run> is a directory containing metrics.json (from --metrics-json),
@@ -33,7 +33,7 @@ int usage() {
                "       rlccd_report --diff <base> <candidate>\n"
                "                    [--max-runtime-regress PCT] "
                "[--max-tns-regress PCT]\n"
-               "                    [--max-speedup-regress PCT] "
+               "                    [--max-work-ratio-regress PCT] "
                "[--json FILE]\n"
                "a <run> is a directory with metrics.json, audit.jsonl and/or "
                "BENCH_*.json, or one such file\n");
@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
       thresholds.max_runtime_regress_pct = std::atof(argv[++i]);
     } else if (arg == "--max-tns-regress" && i + 1 < argc) {
       thresholds.max_tns_regress_pct = std::atof(argv[++i]);
-    } else if (arg == "--max-speedup-regress" && i + 1 < argc) {
-      thresholds.max_speedup_regress_pct = std::atof(argv[++i]);
+    } else if (arg == "--max-work-ratio-regress" && i + 1 < argc) {
+      thresholds.max_work_ratio_regress_pct = std::atof(argv[++i]);
     } else if (arg == "--json" && i + 1 < argc) {
       json_out = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
