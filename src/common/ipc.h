@@ -162,14 +162,14 @@ class ByteWriter {
   std::string& out_;
 };
 
-// Parses the fields a field list names, from `offset` on. Each read fails
-// with a corrupt Status on truncation; enum8 also on a value above `max`,
-// list and count on a count that cannot fit in the bytes left (or exceeds
-// `max_items`), before any container grows; finish() on trailing bytes.
+// Parses the fields a field list names from the front of `bytes`. A read
+// fails with a corrupt Status on truncation; enum8 also on a value above
+// `max`; list and count on a count that cannot fit in the bytes left, or
+// that exceeds `max_items`, before any container grows; finish() on
+// trailing bytes.
 class ByteReader {
  public:
-  explicit ByteReader(std::string_view bytes, std::size_t offset = 0)
-      : bytes_(bytes), offset_(offset) {}
+  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
 
   template <class T>
   Status pod(T& v, const char* what) {
@@ -242,7 +242,7 @@ class ByteReader {
 
  private:
   std::string_view bytes_;
-  std::size_t offset_;
+  std::size_t offset_ = 0;
 };
 
 // -- frames -------------------------------------------------------------------

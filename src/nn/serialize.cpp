@@ -60,7 +60,7 @@ Status load_parameters(std::vector<Tensor>& params, const std::string& path) {
     return Status::corrupt("%s: not an RLCCDNN1 parameter file",
                            path.c_str());
   }
-  ByteReader r(bytes, sizeof(kMagic));
+  ByteReader r(std::string_view(bytes).substr(sizeof(kMagic)));
   return parameter_fields(r, params).with_context(path);
 }
 

@@ -174,18 +174,6 @@ TEST(ServeProtocol, ProgressMetricCountIsCapped) {
   EXPECT_EQ(s.code(), StatusCode::kCorrupt);
 }
 
-TEST(ServeProtocol, AuditLineRoundTrips) {
-  JobAudit audit;
-  audit.job_id = 12;
-  audit.line = R"({"kind":"rollout","steps":3})";
-  std::string bytes;
-  encode(bytes, audit);
-  JobAudit out;
-  ASSERT_TRUE(parse(bytes, out).ok());
-  EXPECT_EQ(out.job_id, 12u);
-  EXPECT_EQ(out.line, audit.line);
-}
-
 TEST(ServeProtocol, JobResultRoundTrips) {
   JobResult r;
   r.drained = true;
