@@ -43,7 +43,7 @@ int main() {
                      TablePrinter::fmt_pct(r.tns_gain_pct() / 100.0, 1),
                      std::to_string(r.selection.size()),
                      TablePrinter::fmt(mean_steps, 1),
-                     TablePrinter::fmt(r.train.train_seconds, 1)});
+                     TablePrinter::fmt(r.train_seconds, 1)});
       std::fprintf(stderr, "[rho] %s rho=%.1f done\n", name, rho);
     }
   }

@@ -6,6 +6,7 @@
 // pre-train on the other N5 blocks (block1/13 at the bench tier), transfer
 // to block19, and print both best-TNS-so-far convergence series.
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "bench_common.h"
@@ -46,8 +47,15 @@ int main() {
   auto train = [&](const std::string& pretrained) {
     RlCcdConfig cfg = agent_config(target, t, 99);
     cfg.train.patience = cfg.train.max_iterations;  // full curve
-    cfg.pretrained_gnn = pretrained;
     RlCcd agent(&target, cfg);
+    if (!pretrained.empty()) {
+      Status s = agent.policy().load_gnn(pretrained);
+      if (!s.ok()) {
+        std::fprintf(stderr, "[fig6] cannot load EP-GNN: %s\n",
+                     s.to_string().c_str());
+        std::exit(1);
+      }
+    }
     return agent.run();
   };
   RlCcdResult scratch = train("");

@@ -54,9 +54,16 @@ int main(int argc, char** argv) {
     cfg.train.workers = 4;
     cfg.train.max_iterations = 10;
     cfg.train.patience = 10;  // run to the iteration cap for a full curve
-    cfg.pretrained_gnn = pretrained;
     cfg.policy_seed = 99;
     RlCcd agent(&d, cfg);
+    if (!pretrained.empty()) {
+      Status s = agent.policy().load_gnn(pretrained);
+      if (!s.ok()) {
+        std::fprintf(stderr, "cannot load EP-GNN: %s\n",
+                     s.to_string().c_str());
+        std::exit(1);
+      }
+    }
     return agent.run();
   };
   RlCcdResult scratch = train("");

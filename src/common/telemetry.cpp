@@ -775,31 +775,6 @@ std::string MetricsRegistry::to_prometheus() const {
   return snapshot().to_prometheus();
 }
 
-namespace {
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  ok = std::fputc('\n', f) != EOF && ok;
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
-}
-
-}  // namespace
-
-bool MetricsRegistry::write_json(const std::string& path) const {
-  return write_text_file(path, to_json());
-}
-
-bool MetricsRegistry::write_csv(const std::string& path) const {
-  return write_text_file(path, to_csv());
-}
-
-bool MetricsRegistry::write_prometheus(const std::string& path) const {
-  return write_text_file(path, to_prometheus());
-}
-
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, c] : counters_) {

@@ -287,9 +287,6 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_json() const;
   [[nodiscard]] std::string to_csv() const;
   [[nodiscard]] std::string to_prometheus() const;
-  bool write_json(const std::string& path) const;
-  bool write_csv(const std::string& path) const;
-  bool write_prometheus(const std::string& path) const;
 
   // Folds a worker's telemetry delta into the live registry: counters add,
   // histograms merge (atomic), span trees merge by path, gauges take the

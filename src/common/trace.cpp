@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -255,16 +254,6 @@ std::string TraceRecorder::to_chrome_json() const {
   }
   out += "]}";
   return out;
-}
-
-bool TraceRecorder::write_chrome_json(const std::string& path) const {
-  const std::string json = to_chrome_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  ok = std::fputc('\n', f) != EOF && ok;
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
 }
 
 }  // namespace rlccd

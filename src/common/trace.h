@@ -82,7 +82,6 @@ class TraceRecorder {
   // microseconds relative to enable()), oldest surviving event first, then
   // the imported events of child processes.
   [[nodiscard]] std::string to_chrome_json() const;
-  bool write_chrome_json(const std::string& path) const;
 
   // Events currently buffered / dropped to ring wrap-around since enable().
   [[nodiscard]] std::uint64_t buffered_events() const;

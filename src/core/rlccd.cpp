@@ -1,8 +1,9 @@
 #include "core/rlccd.h"
 
 #include <algorithm>
+#include <chrono>
 
-#include "common/log.h"
+#include "common/telemetry.h"
 
 namespace rlccd {
 
@@ -18,16 +19,6 @@ RlCcd::RlCcd(const Design* design, RlCcdConfig config)
       config_(std::move(config)),
       policy_(config_.policy, config_.policy_seed) {
   RLCCD_EXPECTS(design != nullptr);
-  if (!config_.pretrained_gnn.empty()) {
-    Status s = policy_.load_gnn(config_.pretrained_gnn);
-    if (!s.ok()) {
-      RLCCD_LOG_ERROR("cannot load pre-trained EP-GNN: %s",
-                      s.to_string().c_str());
-    }
-    RLCCD_EXPECTS(s.ok());
-    RLCCD_LOG_INFO("loaded pre-trained EP-GNN from %s",
-                   config_.pretrained_gnn.c_str());
-  }
 }
 
 namespace {
@@ -58,7 +49,11 @@ RlCcdResult RlCcd::run() {
     train_config.audit = config_.audit;
   }
   ReinforceTrainer trainer(design_, &policy_, train_config);
+  const auto t_train = std::chrono::steady_clock::now();
   result.train = trainer.train();
+  result.train_seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t_train)
+                             .count();
   result.selection = result.train.best_selection;
   {
     RLCCD_SPAN("final_flows");
@@ -71,7 +66,7 @@ RlCcdResult RlCcd::run() {
   }
   double default_cost = std::max(1e-9, result.default_flow.runtime_sec());
   result.runtime_factor =
-      (result.train.train_seconds + result.rl_flow.runtime_sec()) /
+      (result.train_seconds + result.rl_flow.runtime_sec()) /
       default_cost;
   return result;
 }

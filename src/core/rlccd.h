@@ -6,9 +6,9 @@
 //   RlCcdResult r = rlccd.run();
 //   // r.default_flow = native tool flow, r.rl_flow = RL-CCD enhanced flow
 //
-// Transfer learning (paper Sec. IV-B): save_gnn()/RlCcdConfig::pretrained_gnn
-// reuse EP-GNN weights across designs; the encoder-decoder is re-initialized
-// per design.
+// Transfer learning (paper Sec. IV-B): save_gnn() on one design, then
+// policy().load_gnn(path) on another before run(), reuses the EP-GNN
+// weights; the encoder-decoder is re-initialized per design.
 #pragma once
 
 #include <cmath>
@@ -22,8 +22,6 @@ namespace rlccd {
 struct RlCcdConfig {
   PolicyConfig policy;
   TrainConfig train;
-  // Optional EP-GNN weights file for transfer learning.
-  std::string pretrained_gnn;
   std::uint64_t policy_seed = 42;
   // Convenience: propagated to train.observer when that is unset, so facade
   // users get per-iteration progress without reaching into TrainConfig.
@@ -42,6 +40,8 @@ struct RlCcdResult {
   FlowResult default_flow;  // native flow, empty selection
   FlowResult rl_flow;       // flow with the best RL selection
   std::vector<PinId> selection;
+  // Wall-clock of training, final greedy decode included.
+  double train_seconds = 0.0;
   // Wall-clock of RL-CCD (training + final flow) over one default flow run,
   // mirroring Table II's normalized runtime column.
   double runtime_factor = 0.0;

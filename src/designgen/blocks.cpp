@@ -91,6 +91,13 @@ const std::vector<BlockSpec>& paper_blocks() {
   return blocks;
 }
 
+bool block_known(const std::string& name) {
+  for (const BlockSpec& b : paper_blocks()) {
+    if (b.name == name) return true;
+  }
+  return false;
+}
+
 const BlockSpec& find_block(const std::string& name) {
   for (const BlockSpec& b : paper_blocks()) {
     if (b.name == name) return b;

@@ -53,11 +53,16 @@ struct BlockSpec {
 // All 19 blocks, in Table II order.
 const std::vector<BlockSpec>& paper_blocks();
 
+// Whether `name` is one of the 19 block names. Check user input with it
+// before find_block().
+bool block_known(const std::string& name);
+
 // Lookup by name ("block11"); aborts if missing.
 const BlockSpec& find_block(const std::string& name);
 
 // Builds a GeneratorConfig for a block at `scale` of the paper cell count
-// (default 1/100). Clock tightness is derived from the paper begin-WNS.
+// (default 1/100); aborts unless 0 < scale <= 1. Clock tightness is derived
+// from the paper begin-WNS.
 GeneratorConfig to_generator_config(const BlockSpec& spec,
                                     double scale = 0.01);
 

@@ -12,8 +12,8 @@ namespace {
 
 constexpr char kMagic[8] = {'R', 'L', 'C', 'C', 'D', 'N', 'N', '1'};
 
-// The count and every shape are read against the live tensors, which are
-// never resized: a file for another network is rejected, not half-loaded.
+// The count and every shape are checked against the tensors walked, which
+// are never resized, and the file ends at the last value.
 template <class W, class Params>
 Status parameter_fields(W& w, Params& params) {
   // Each parameter: u64 rows and cols at least.
@@ -35,7 +35,7 @@ Status parameter_fields(W& w, Params& params) {
     }
     RLCCD_TRY(w.floats(p.data(), p.size(), "parameter values"));
   }
-  return Status();
+  return w.finish();
 }
 
 }  // namespace
@@ -60,8 +60,18 @@ Status load_parameters(std::vector<Tensor>& params, const std::string& path) {
     return Status::corrupt("%s: not an RLCCDNN1 parameter file",
                            path.c_str());
   }
+  // Parsed into fresh tensors of the live shapes and committed only once
+  // the whole file has parsed: a file for another network, or a truncated
+  // or padded one, is rejected, not half-loaded.
+  std::vector<Tensor> staged;
+  staged.reserve(params.size());
+  for (const Tensor& p : params) {
+    staged.push_back(Tensor::zeros(p.rows(), p.cols()));
+  }
   ByteReader r(std::string_view(bytes).substr(sizeof(kMagic)));
-  return parameter_fields(r, params).with_context(path);
+  RLCCD_TRY(parameter_fields(r, staged).with_context(path));
+  copy_parameter_values(staged, params);
+  return Status();
 }
 
 void copy_parameter_values(const std::vector<Tensor>& src,

@@ -23,7 +23,8 @@ namespace rlccd {
 Status save_parameters(const std::vector<Tensor>& params,
                        const std::string& path);
 
-// Loads into existing tensors; count and shapes must match.
+// Loads into existing tensors; count and shapes must match, and the file
+// must end at the last value. On any failure every tensor keeps its values.
 Status load_parameters(std::vector<Tensor>& params, const std::string& path);
 
 // In-memory copy helpers (parallel training: clone <-> master).

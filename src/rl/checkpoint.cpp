@@ -15,10 +15,11 @@ namespace {
 
 constexpr char kMagic[10] = {'R', 'L', 'C', 'C', 'D', 'C', 'K', 'P', 'T', '1'};
 // v2 added the IterationStats provenance fields (mean_entropy, grad_norm,
-// baseline). Older checkpoints are rejected at load (resume falls back to
-// starting fresh), which is safe: replaying from a v1 checkpoint would
-// leave those fields zero in the restored history.
-constexpr std::uint32_t kVersion = 2;
+// baseline); v3 dropped TrainStats::train_seconds, which a checkpoint only
+// ever stored as 0. Older checkpoints are rejected at load (resume falls
+// back to starting fresh), which is safe: replaying from a v1 checkpoint
+// would leave the provenance fields zero in the restored history.
+constexpr std::uint32_t kVersion = 3;
 
 template <class W, class Checkpoint>
 Status payload_fields(W& w, Checkpoint& ckpt) {
@@ -71,7 +72,6 @@ Status payload_fields(W& w, Checkpoint& ckpt) {
   }));
   RLCCD_TRY(w.as(kI32, s.iterations, "iterations"));
   RLCCD_TRY(w.as(kI32, s.flow_runs, "flow_runs"));
-  RLCCD_TRY(w.pod(s.train_seconds, "train_seconds"));
   return w.finish();
 }
 

@@ -83,7 +83,6 @@ FlowResult ReinforceTrainer::evaluate_selection(
 
 TrainStats ReinforceTrainer::train() {
   RLCCD_SPAN("train");
-  auto t_start = std::chrono::steady_clock::now();
   TrainStats stats;
   stats.begin_tns = graph_.begin_tns();
 
@@ -717,10 +716,6 @@ TrainStats ReinforceTrainer::train() {
         // landed, without taking the whole test process down.
         if (fault_fire("train_crash")) {
           RLCCD_LOG_WARN("injected crash after checkpoint %s", path.c_str());
-          stats.train_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t_start)
-                  .count();
           return stats;
         }
       } else {
@@ -762,9 +757,6 @@ TrainStats ReinforceTrainer::train() {
     }
   }
 
-  stats.train_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start)
-          .count();
   return stats;
 }
 

@@ -149,7 +149,6 @@ struct TrainStats {
   std::vector<IterationStats> history;
   int iterations = 0;
   int flow_runs = 0;               // reward evaluations (excl. default)
-  double train_seconds = 0.0;
 };
 
 class ReinforceTrainer {

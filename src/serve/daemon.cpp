@@ -241,13 +241,6 @@ struct WorkerSlot {
   Job* job = nullptr;
 };
 
-bool block_known(const std::string& name) {
-  for (const BlockSpec& b : paper_blocks()) {
-    if (b.name == name) return true;
-  }
-  return false;
-}
-
 void json_kv(std::string& out, const char* key, std::uint64_t v,
              bool comma = true) {
   char buf[96];

@@ -181,7 +181,8 @@ void encode(std::string& out, const Msg& msg) {
 template <class Msg>
 Status parse(std::string_view bytes, Msg& msg) {
   ByteReader r(bytes);
-  return fields(r, msg);
+  RLCCD_TRY(fields(r, msg));
+  return r.finish();
 }
 
 template void encode(std::string&, const JobSpec&);

@@ -202,9 +202,9 @@ struct JobResult {
 // Appends msg's bytes to `out`.
 template <class Msg>
 void encode(std::string& out, const Msg& msg);
-// Reads one message from the front of `bytes`. A truncated field, an
-// unknown enum value or a list count its bytes cannot hold is corrupt;
-// bytes after the message's last field are not read.
+// Reads one message that fills `bytes` exactly. A truncated field, an
+// unknown enum value, a list count its bytes cannot hold or bytes after the
+// message's last field is corrupt.
 template <class Msg>
 Status parse(std::string_view bytes, Msg& msg);
 

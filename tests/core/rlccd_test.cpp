@@ -32,6 +32,7 @@ TEST(RlCcd, EndToEndRunProducesConsistentResult) {
   EXPECT_GE(r.rl_flow.final_summary.tns, r.train.best_tns - 1e-9)
       << "final flow with best selection must reproduce the best reward";
   EXPECT_GE(r.rl_flow.final_summary.tns, r.default_flow.final_summary.tns - 1e-9);
+  EXPECT_GT(r.train_seconds, 0.0);
   EXPECT_GT(r.runtime_factor, 1.0);
 }
 
@@ -54,9 +55,9 @@ TEST(RlCcd, TransferLearningLoadsPretrainedGnn) {
   ASSERT_TRUE(teacher.save_gnn(path).ok());
 
   RlCcdConfig transfer_cfg = cfg;
-  transfer_cfg.pretrained_gnn = path;
   transfer_cfg.policy_seed = 777;  // fresh encoder/decoder
   RlCcd student(&d, transfer_cfg);
+  ASSERT_TRUE(student.policy().load_gnn(path).ok());
 
   std::vector<Tensor> a = teacher.policy().gnn_parameters();
   std::vector<Tensor> b = student.policy().gnn_parameters();

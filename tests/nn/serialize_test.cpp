@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/fault.h"
+#include "common/io.h"
 #include "helpers/temp_path.h"
 #include "nn/modules.h"
 
@@ -43,6 +47,51 @@ TEST(Serialize, RejectsShapeMismatchWithDiagnostic) {
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(s.message().find("shape"), std::string::npos) << s.message();
+  std::remove(path.c_str());
+}
+
+// Nothing is loaded unless everything is: a file whose last tensor has
+// another shape, is cut short or is followed by more bytes fails, and
+// every parameter keeps its bits, the earlier tensors' too.
+TEST(Serialize, RejectedFileLeavesEveryParameterBitIdentical) {
+  const auto network = [](float scale) {
+    return std::vector<Tensor>{
+        Tensor::from_data({1.0f * scale, 2.0f * scale, 3.0f * scale,
+                           4.0f * scale},
+                          2, 2),
+        Tensor::from_data({5.0f * scale}, 1, 1),
+        Tensor::from_data({6.0f * scale, 7.0f * scale}, 1, 2)};
+  };
+  const std::string path = temp_path("all_or_nothing.bin");
+  std::string saved;
+  ASSERT_TRUE(save_parameters(network(10.0f), path).ok());
+  ASSERT_TRUE(read_file(path, saved).ok());
+  std::vector<Tensor> reshaped = network(10.0f);
+  reshaped[2] = Tensor::from_data({60.0f, 70.0f}, 2, 1);
+  std::string other_shape;
+  ASSERT_TRUE(save_parameters(reshaped, path).ok());
+  ASSERT_TRUE(read_file(path, other_shape).ok());
+
+  for (const std::string& bytes :
+       {other_shape, saved.substr(0, saved.size() - 1),
+        saved + std::string(13, '\x5a')}) {
+    ASSERT_TRUE(atomic_write_file(path, bytes).ok());
+    std::vector<Tensor> live = network(1.0f);
+    EXPECT_FALSE(load_parameters(live, path).ok()) << bytes.size() << " B";
+    const std::vector<Tensor> before = network(1.0f);
+    for (std::size_t p = 0; p < live.size(); ++p) {
+      EXPECT_EQ(std::memcmp(live[p].data(), before[p].data(),
+                            live[p].size() * sizeof(float)),
+                0)
+          << "tensor " << p << " changed by a rejected " << bytes.size()
+          << " B file";
+    }
+  }
+  ASSERT_TRUE(atomic_write_file(path, saved).ok());
+  std::vector<Tensor> live = network(1.0f);
+  ASSERT_TRUE(load_parameters(live, path).ok());
+  EXPECT_EQ(live[0].data()[0], 10.0f);
+  EXPECT_EQ(live[2].data()[1], 70.0f);
   std::remove(path.c_str());
 }
 

@@ -36,7 +36,6 @@ TEST(Trainer, RecordsHistoryAndBaselines) {
   EXPECT_EQ(stats.history.size(), static_cast<std::size_t>(stats.iterations));
   // workers rollouts per iteration plus the final greedy decode.
   EXPECT_EQ(stats.flow_runs, stats.iterations * 2 + 1);
-  EXPECT_GT(stats.train_seconds, 0.0);
 }
 
 TEST(Trainer, BestNeverWorseThanDefault) {

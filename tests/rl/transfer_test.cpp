@@ -51,9 +51,8 @@ TEST(Transfer, DonorToStudentWorkflow) {
 
   // Student on a different design starts from the donor's EP-GNN.
   Design student_design = make_design(173);
-  RlCcdConfig cfg = tiny_config(student_design);
-  cfg.pretrained_gnn = path;
-  RlCcd student(&student_design, cfg);
+  RlCcd student(&student_design, tiny_config(student_design));
+  ASSERT_TRUE(student.policy().load_gnn(path).ok());
   {
     std::vector<Tensor> a = teacher.policy().gnn_parameters();
     std::vector<Tensor> b = student.policy().gnn_parameters();
@@ -77,9 +76,8 @@ TEST(Transfer, TransferredTrainingIsDeterministic) {
 
   auto run_student = [&]() {
     Design d = make_design(177);
-    RlCcdConfig cfg = tiny_config(d);
-    cfg.pretrained_gnn = path;
-    RlCcd agent(&d, cfg);
+    RlCcd agent(&d, tiny_config(d));
+    EXPECT_TRUE(agent.policy().load_gnn(path).ok());
     return agent.run();
   };
   RlCcdResult a = run_student();

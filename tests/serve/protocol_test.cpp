@@ -1,6 +1,7 @@
 // Wire-codec tests for the serve protocol: every message round-trips
-// byte-exactly, truncated payloads surface as diagnosable corrupt Statuses,
-// and out-of-range enum values are rejected rather than smuggled through.
+// byte-exactly, truncated or padded payloads surface as diagnosable corrupt
+// Statuses, and out-of-range enum values are rejected rather than smuggled
+// through.
 #include "serve/protocol.h"
 
 #include <gtest/gtest.h>
@@ -52,6 +53,31 @@ TEST(ServeProtocol, TruncatedSpecIsCorruptNotCrash) {
     Status s = parse(std::string_view(bytes).substr(0, cut), out);
     EXPECT_FALSE(s.ok()) << "cut at byte " << cut;
   }
+}
+
+// A message fills its payload exactly: one byte more is corrupt.
+template <class Msg>
+void expect_trailing_byte_corrupt(const Msg& msg, const char* name) {
+  std::string bytes;
+  encode(bytes, msg);
+  Msg out;
+  ASSERT_TRUE(parse(bytes, out).ok()) << name;
+  bytes.push_back('\0');
+  EXPECT_EQ(parse(bytes, out).code(), StatusCode::kCorrupt) << name;
+}
+
+TEST(ServeProtocol, TrailingByteIsCorrupt) {
+  JobProgress progress;
+  progress.metrics = {{"tns", -3.5}};
+  expect_trailing_byte_corrupt(JobSpec{}, "JobSpec");
+  expect_trailing_byte_corrupt(JobStatus{}, "JobStatus");
+  expect_trailing_byte_corrupt(Hello{}, "Hello");
+  expect_trailing_byte_corrupt(HelloReply{}, "HelloReply");
+  expect_trailing_byte_corrupt(SubmitReply{}, "SubmitReply");
+  expect_trailing_byte_corrupt(JobRef{}, "JobRef");
+  expect_trailing_byte_corrupt(progress, "JobProgress");
+  expect_trailing_byte_corrupt(JobAudit{7, "{}"}, "JobAudit");
+  expect_trailing_byte_corrupt(JobResult{}, "JobResult");
 }
 
 TEST(ServeProtocol, UnknownJobKindRejected) {

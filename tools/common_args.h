@@ -1,29 +1,30 @@
-// Flags shared by the rlccd_cli and smoke_rl drivers, parsed in one place.
+// The flags the training tools share, as entries of the one flag table
+// (tools/flags.h), and the artifact epilogue the tools share.
 //
-// Both tools accept the same flight-recorder artifact flags
+// rlccd_cli and smoke_rl take all twelve: the flight-recorder artifacts
 // (--metrics-json, --metrics-csv, --metrics-prom, --trace-json,
-// --audit-jsonl, --progress),
-// the same fault-tolerance knobs (--checkpoint-dir, --resume,
-// --rollout-deadline, --isolate-workers, --max-worker-restarts) and the
-// flow-outcome cache budget (--flow-cache-mb). Each used to hand-roll its
-// own strcmp chain; this header declares the shared spec table instead:
-// parse_common_flag() consumes one argv token against it, print_common_help()
-// generates the flag documentation from the same table (so help can never
-// drift from what parses), and apply_train_args() maps the typed values
+// --audit-jsonl, --progress), the fault-tolerance knobs (--checkpoint-dir,
+// --resume, --rollout-deadline, --isolate-workers, --max-worker-restarts)
+// and the flow-outcome cache budget (--flow-cache-mb). smoke_flow and
+// rlccd_serve take the few artifact flags they write. add_common_flags()
+// appends the entries to a tool's table; apply_train_args() maps the values
 // onto a TrainConfig.
 //
-// The artifact epilogue lives here too, shared by both tools and by
-// smoke_flow: open_common_artifacts() before the command (arms the trace
-// recorder, opens the audit stream), write_common_artifacts() after it
-// (metrics JSON/CSV, Chrome trace, audit close).
+// open_common_artifacts() runs before the command (arms the trace recorder,
+// opens the audit stream), write_common_artifacts() after it: each metrics
+// document and the Chrome trace is written whole through atomic_write_file,
+// then the audit stream is closed.
 #pragma once
 
-#include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "rl/audit.h"
 #include "rl/trainer.h"
+#include "tools/flags.h"
 
 namespace rlccd {
 namespace tools {
@@ -43,22 +44,10 @@ struct CommonArgs {
   long flow_cache_mb = -1;       // < 0: keep the TrainConfig default; 0: off
 };
 
-// Tries to consume argv[i] (plus its value, when the spec takes one) as a
-// shared flag. Returns true when the token matched a shared flag, in which
-// case `i` is advanced past any value. A matched flag missing its value, or
-// with a numeric value that is malformed, has trailing characters, is out
-// of range or (for the counts) negative, prints a diagnostic to stderr and
-// sets `ok` to false.
-bool parse_common_flag(int argc, char** argv, int& i, CommonArgs& args,
-                       bool& ok);
-
-// One "  --flag VALUE  help" line per spec-table entry, written to `out` —
-// generated from the same table parse_common_flag() matches against.
-void print_common_help(std::FILE* out);
-
-// Single-line usage fragment ("[--metrics-json FILE] [--metrics-csv FILE]
-// ...") for embedding in a tool's usage string.
-std::string common_usage_fragment();
+// Appends the shared flags, filling `args`, to `table`; `only`, when not
+// empty, names the ones the tool takes.
+void add_common_flags(std::vector<Arg>& table, CommonArgs& args,
+                      std::initializer_list<std::string_view> only = {});
 
 // Applies the training-related flags onto a TrainConfig. Sentinel values
 // (negative max_worker_restarts / flow_cache_mb) leave the config's
@@ -72,9 +61,9 @@ void apply_train_args(const CommonArgs& args, TrainConfig& train);
 bool open_common_artifacts(const CommonArgs& args,
                            std::unique_ptr<JsonlAuditWriter>& audit);
 
-// Post-command artifact writing: telemetry JSON/CSV, the Chrome trace, and
-// the audit close, each announced on stdout. Returns false (with a stderr
-// diagnostic) when any requested artifact cannot be written.
+// Post-command artifact writing: telemetry JSON/CSV/Prometheus, the Chrome
+// trace, and the audit close, each announced on stdout. Returns false (with
+// a stderr diagnostic) when any requested artifact cannot be written.
 bool write_common_artifacts(const CommonArgs& args, JsonlAuditWriter* audit);
 
 }  // namespace tools

@@ -6,20 +6,19 @@
 //   rlccd_cli train    <block> [--scale S] [--iters N] [--workers N]
 //                      [--rho R] [--gnn-in FILE] [--gnn-out FILE]
 //
-// Shared flags (tools/common_args.h, `rlccd_cli --help` lists them):
-// flight-recorder artifacts (--metrics-json / --metrics-csv / --trace-json /
-// --audit-jsonl / --progress), fault tolerance (--checkpoint-dir / --resume /
+// The twelve shared flags (tools/common_args.h) ride along: flight-recorder
+// artifacts (--metrics-json / --metrics-csv / --trace-json / --audit-jsonl /
+// --progress), fault tolerance (--checkpoint-dir / --resume /
 // --rollout-deadline / --isolate-workers / --max-worker-restarts) and the
-// rollout memoization budget (--flow-cache-mb). Feed the artifacts to
-// rlccd_report.
+// rollout memoization budget (--flow-cache-mb). `rlccd_cli --help` prints
+// the whole table. Feed the artifacts to rlccd_report.
 //
 // Blocks are the paper's Table-II names (block1..block19); a plain number
 // generates an anonymous design with that many cells.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/log.h"
 #include "common/progress.h"
@@ -47,6 +46,7 @@ struct Args {
   std::string gnn_in;
   std::string gnn_out;
   tools::CommonArgs common;
+  long cells = 0;  // > 0 when `target` is a cell count, not a block name
 };
 
 StderrProgress g_progress;
@@ -55,61 +55,11 @@ StderrProgress g_progress;
 // --audit-jsonl is set.
 std::unique_ptr<JsonlAuditWriter> g_audit;
 
-void usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: rlccd_cli <generate|sta|flow|train> <block|cells> "
-               "[--scale S] [--seed N] [--iters N] [--workers N] [--rho R] "
-               "[--out FILE] [--gnn-in FILE] [--gnn-out FILE] %s\n",
-               tools::common_usage_fragment().c_str());
-  tools::print_common_help(out);
-}
-
-bool parse(int argc, char** argv, Args& args) {
-  if (argc < 3) return false;
-  args.command = argv[1];
-  args.target = argv[2];
-  bool ok = true;
-  for (int i = 3; i < argc; ++i) {
-    if (tools::parse_common_flag(argc, argv, i, args.common, ok)) {
-      if (!ok) return false;
-      continue;
-    }
-    std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (flag == "--scale" && (v = next())) {
-      args.scale = std::atof(v);
-    } else if (flag == "--seed" && (v = next())) {
-      args.seed = std::strtoull(v, nullptr, 10);
-    } else if (flag == "--iters" && (v = next())) {
-      args.iters = std::atoi(v);
-    } else if (flag == "--workers" && (v = next())) {
-      args.workers = std::atoi(v);
-    } else if (flag == "--rho" && (v = next())) {
-      args.rho = std::atof(v);
-    } else if (flag == "--out" && (v = next())) {
-      args.out = v;
-    } else if (flag == "--gnn-in" && (v = next())) {
-      args.gnn_in = v;
-    } else if (flag == "--gnn-out" && (v = next())) {
-      args.gnn_out = v;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 Design make_design(const Args& args) {
-  char* end = nullptr;
-  long cells = std::strtol(args.target.c_str(), &end, 10);
-  if (end != args.target.c_str() && *end == '\0' && cells > 0) {
+  if (args.cells > 0) {
     GeneratorConfig cfg;
     cfg.name = "cli";
-    cfg.target_cells = static_cast<std::size_t>(cells);
+    cfg.target_cells = static_cast<std::size_t>(args.cells);
     cfg.seed = args.seed;
     return generate_design(cfg);
   }
@@ -180,10 +130,17 @@ int cmd_train(const Args& args) {
   cfg.train.workers = args.workers;
   cfg.train.overlap_threshold = args.rho;
   tools::apply_train_args(args.common, cfg.train);
-  cfg.pretrained_gnn = args.gnn_in;
   if (args.common.progress) cfg.observer = &g_progress;
   if (g_audit != nullptr) cfg.audit = g_audit.get();
   RlCcd agent(&d, cfg);
+  if (!args.gnn_in.empty()) {
+    Status s = agent.policy().load_gnn(args.gnn_in);
+    if (!s.ok()) {
+      std::fprintf(stderr, "cannot load EP-GNN weights: %s\n",
+                   s.to_string().c_str());
+      return 1;
+    }
+  }
   RlCcdResult r = agent.run();
   std::printf("default: TNS %.3f  NVE %zu\n", r.default_flow.final_summary.tns,
               r.default_flow.final_summary.nve);
@@ -207,26 +164,44 @@ int cmd_train(const Args& args) {
 
 int main(int argc, char** argv) {
   set_log_level(LogLevel::Warn);
-  if (argc == 2 && (std::strcmp(argv[1], "--help") == 0 ||
-                    std::strcmp(argv[1], "-h") == 0)) {
-    usage(stdout);
-    return 0;
-  }
   Args args;
-  if (!parse(argc, argv, args)) {
-    usage(stderr);
+  std::vector<tools::Arg> table = {
+      {"<command>", nullptr, "generate, sta, flow or train", &args.command,
+       {},
+       [](const std::string& c) {
+         return c == "generate" || c == "sta" || c == "flow" || c == "train";
+       }},
+      {"<block|cells>", nullptr,
+       "Table II block name, or a cell count (at least 16)", &args.target},
+      {"--scale", "S", "share of the block's paper cell count, in (0, 1]",
+       &args.scale, tools::kScale},
+      {"--seed", "N", "design seed (1 keeps the block's own)", &args.seed},
+      {"--iters", "N", "train: REINFORCE iterations", &args.iters,
+       tools::kCount},
+      {"--workers", "N", "train: rollout workers", &args.workers,
+       tools::kAtLeastOne},
+      {"--rho", "R", "train: mask overlap threshold, in [0, 1]", &args.rho,
+       tools::kUnit},
+      {"--out", "FILE", "generate: write the netlist here", &args.out},
+      {"--gnn-in", "FILE", "train: start from these EP-GNN weights",
+       &args.gnn_in},
+      {"--gnn-out", "FILE", "train: save the trained EP-GNN weights here",
+       &args.gnn_out},
+  };
+  tools::add_common_flags(table, args.common);
+  if (auto rc = tools::parse_args(argc, argv, table)) return *rc;
+  // A target that names no block is a cell count, which generate_design()
+  // needs to be at least 16.
+  if (!block_known(args.target) &&
+      !tools::parse_value({"<block|cells>", nullptr, "", &args.cells, {16.0}},
+                          args.target)) {
     return 2;
   }
   if (!tools::open_common_artifacts(args.common, g_audit)) return 1;
-  int rc = -1;
-  if (args.command == "generate") rc = cmd_generate(args);
-  else if (args.command == "sta") rc = cmd_sta(args);
-  else if (args.command == "flow") rc = cmd_flow(args);
-  else if (args.command == "train") rc = cmd_train(args);
-  if (rc < 0) {
-    std::fprintf(stderr, "unknown command: %s\n", args.command.c_str());
-    return 2;
-  }
+  const int rc = args.command == "generate" ? cmd_generate(args)
+                 : args.command == "sta"    ? cmd_sta(args)
+                 : args.command == "flow"   ? cmd_flow(args)
+                                            : cmd_train(args);
   if (!tools::write_common_artifacts(args.common, g_audit.get())) return 1;
   return rc;
 }

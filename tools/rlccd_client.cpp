@@ -25,35 +25,17 @@ int main() {
 #else
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/json.h"
 #include "common/log.h"
 #include "serve/client.h"
+#include "tools/flags.h"
 
 using namespace rlccd;
 
 namespace {
-
-void usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: rlccd_client --socket PATH COMMAND [flags]\n"
-      "commands:\n"
-      "  submit    --session NAME [--kind train|noop] [--block B]\n"
-      "            [--scale X] [--iters N] [--workers N] [--seed N]\n"
-      "            [--priority P] [--deadline SEC] [--noop-sec X]\n"
-      "            [--wait] [--timeout SEC]\n"
-      "  poll JOB_ID\n"
-      "  wait JOB_ID [--timeout SEC]\n"
-      "  cancel JOB_ID\n"
-      "  stats\n"
-      "  watch     [--count N] [--timeout SEC] [--json]\n"
-      "  metrics\n"
-      "  shutdown\n");
-}
 
 void print_status(const serve::JobStatus& s) {
   std::printf("job %llu  %s  session=%s kind=%s attempts=%d",
@@ -72,6 +54,12 @@ void print_status(const serve::JobStatus& s) {
   if (!s.postmortem.empty()) std::printf("  postmortem=%s", s.postmortem.c_str());
   if (!s.trace.empty()) std::printf("  trace=%s", s.trace.c_str());
   std::printf("\n");
+}
+
+// Exit status 1 after naming the daemon call that failed.
+int failed(const Status& s) {
+  std::fprintf(stderr, "rlccd_client: %s\n", s.to_string().c_str());
+  return 1;
 }
 
 int exit_code_for(const serve::JobStatus& s) {
@@ -157,10 +145,7 @@ int do_wait(serve::ServeClient& client, std::uint64_t job_id,
         std::fprintf(stderr, "\n");
       },
       {});
-  if (!s.ok()) {
-    std::fprintf(stderr, "rlccd_client: %s\n", s.to_string().c_str());
-    return 1;
-  }
+  if (!s.ok()) return failed(s);
   print_status(status);
   return exit_code_for(status);
 }
@@ -172,93 +157,68 @@ int main(int argc, char** argv) {
   std::string socket_path;
   std::string command;
   std::uint64_t job_id = 0;
-  bool have_job_id = false;
+  std::string kind = "train";
   bool wait_flag = false;
   bool json_flag = false;
   int count = 0;
   double timeout_sec = 0.0;
   serve::JobSpec spec;
   spec.session = "default";
-
-  for (int i = 1; i < argc; ++i) {
-    auto value = [&](const char* name) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", name);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-      usage(stdout);
-      return 0;
-    } else if (std::strcmp(argv[i], "--socket") == 0) {
-      socket_path = value("--socket");
-    } else if (std::strcmp(argv[i], "--session") == 0) {
-      spec.session = value("--session");
-    } else if (std::strcmp(argv[i], "--kind") == 0) {
-      const char* k = value("--kind");
-      if (std::strcmp(k, "noop") == 0) {
-        spec.kind = serve::JobKind::kNoop;
-      } else if (std::strcmp(k, "train") == 0) {
-        spec.kind = serve::JobKind::kTrain;
-      } else {
-        std::fprintf(stderr, "unknown kind %s\n", k);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--block") == 0) {
-      spec.block = value("--block");
-    } else if (std::strcmp(argv[i], "--scale") == 0) {
-      spec.scale = std::atof(value("--scale"));
-    } else if (std::strcmp(argv[i], "--iters") == 0) {
-      spec.iters = std::atoi(value("--iters"));
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      spec.rollout_workers = std::atoi(value("--workers"));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      spec.seed = static_cast<std::uint64_t>(std::atoll(value("--seed")));
-    } else if (std::strcmp(argv[i], "--priority") == 0) {
-      spec.priority = std::atoi(value("--priority"));
-    } else if (std::strcmp(argv[i], "--deadline") == 0) {
-      spec.deadline_sec = std::atof(value("--deadline"));
-    } else if (std::strcmp(argv[i], "--noop-sec") == 0) {
-      spec.noop_sec = std::atof(value("--noop-sec"));
-    } else if (std::strcmp(argv[i], "--wait") == 0) {
-      wait_flag = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_flag = true;
-    } else if (std::strcmp(argv[i], "--count") == 0) {
-      count = std::atoi(value("--count"));
-    } else if (std::strcmp(argv[i], "--timeout") == 0) {
-      timeout_sec = std::atof(value("--timeout"));
-    } else if (command.empty() && argv[i][0] != '-') {
-      command = argv[i];
-    } else if (!command.empty() && argv[i][0] != '-' && !have_job_id) {
-      job_id = static_cast<std::uint64_t>(std::atoll(argv[i]));
-      have_job_id = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      usage(stderr);
-      return 2;
-    }
+  const std::vector<tools::Arg> table = {
+      {"<command>", nullptr,
+       "submit, poll, wait, cancel, stats, watch, metrics or shutdown",
+       &command, {},
+       [](const std::string& c) {
+         return c == "submit" || c == "poll" || c == "wait" || c == "cancel" ||
+                c == "stats" || c == "watch" || c == "metrics" ||
+                c == "shutdown";
+       }},
+      {"[JOB_ID]", nullptr, "the job poll, wait and cancel act on", &job_id},
+      {"--socket", "PATH", "the daemon's Unix socket (required)",
+       &socket_path},
+      {"--session", "NAME", "submit: session name", &spec.session},
+      {"--kind", "KIND", "submit: train or noop", &kind, {},
+       [](const std::string& k) { return k == "train" || k == "noop"; }},
+      {"--block", "B", "submit: Table II block name", &spec.block},
+      {"--scale", "X", "submit: share of the paper's cell count",
+       &spec.scale},
+      {"--iters", "N", "submit: training iterations", &spec.iters},
+      {"--workers", "N", "submit: rollout workers", &spec.rollout_workers},
+      {"--seed", "N", "submit: design seed", &spec.seed},
+      {"--priority", "P", "submit: higher survives overload longer",
+       &spec.priority},
+      {"--deadline", "SEC", "submit: per-attempt deadline; <= 0: the daemon's",
+       &spec.deadline_sec},
+      {"--noop-sec", "X", "submit: noop job duration", &spec.noop_sec},
+      {"--wait", nullptr, "submit: wait for the job to end", &wait_flag},
+      {"--timeout", "SEC",
+       "wait, watch: give up after SEC; <= 0: wait forever, watch 10 s",
+       &timeout_sec},
+      {"--count", "N", "watch: frames to show (0: until --timeout)", &count,
+       tools::kCount},
+      {"--json", nullptr, "watch: print the raw stats documents", &json_flag},
+  };
+  std::size_t positionals = 0;
+  if (auto rc = tools::parse_args(argc, argv, table, &positionals)) return *rc;
+  if (socket_path.empty()) {
+    std::fprintf(stderr, "--socket is required\n");
+    return 2;
   }
-  if (socket_path.empty() || command.empty()) {
-    usage(stderr);
+  spec.kind = kind == "noop" ? serve::JobKind::kNoop : serve::JobKind::kTrain;
+  if ((command == "poll" || command == "cancel" || command == "wait") &&
+      positionals < 2) {
+    std::fprintf(stderr, "%s needs a JOB_ID\n", command.c_str());
     return 2;
   }
 
   serve::ServeClient client;
   Status cs = client.connect(socket_path);
-  if (!cs.ok()) {
-    std::fprintf(stderr, "rlccd_client: %s\n", cs.to_string().c_str());
-    return 1;
-  }
+  if (!cs.ok()) return failed(cs);
 
   if (command == "submit") {
     serve::SubmitReply reply;
     Status s = client.submit(spec, reply);
-    if (!s.ok()) {
-      std::fprintf(stderr, "rlccd_client: %s\n", s.to_string().c_str());
-      return 1;
-    }
+    if (!s.ok()) return failed(s);
     if (!reply.accepted) {
       std::fprintf(stderr, "rejected: %s\n", reply.reason.c_str());
       return 3;
@@ -268,34 +228,18 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "poll" || command == "cancel") {
-    if (!have_job_id) {
-      std::fprintf(stderr, "%s needs a JOB_ID\n", command.c_str());
-      return 2;
-    }
     serve::JobStatus status;
     Status s = command == "poll" ? client.poll_job(job_id, status)
                                  : client.cancel(job_id, status);
-    if (!s.ok()) {
-      std::fprintf(stderr, "rlccd_client: %s\n", s.to_string().c_str());
-      return 1;
-    }
+    if (!s.ok()) return failed(s);
     print_status(status);
     return 0;
   }
-  if (command == "wait") {
-    if (!have_job_id) {
-      std::fprintf(stderr, "wait needs a JOB_ID\n");
-      return 2;
-    }
-    return do_wait(client, job_id, timeout_sec);
-  }
+  if (command == "wait") return do_wait(client, job_id, timeout_sec);
   if (command == "stats") {
     std::string json;
     Status s = client.stats_json(json);
-    if (!s.ok()) {
-      std::fprintf(stderr, "rlccd_client: %s\n", s.to_string().c_str());
-      return 1;
-    }
+    if (!s.ok()) return failed(s);
     std::printf("%s\n", json.c_str());
     return 0;
   }
@@ -313,34 +257,20 @@ int main(int argc, char** argv) {
           return true;
         },
         count, timeout_sec > 0.0 ? timeout_sec : 10.0);
-    if (!s.ok()) {
-      std::fprintf(stderr, "rlccd_client: %s\n", s.to_string().c_str());
-      return 1;
-    }
+    if (!s.ok()) return failed(s);
     return 0;
   }
   if (command == "metrics") {
     std::string text;
     Status s = client.metrics_text(text);
-    if (!s.ok()) {
-      std::fprintf(stderr, "rlccd_client: %s\n", s.to_string().c_str());
-      return 1;
-    }
+    if (!s.ok()) return failed(s);
     std::fputs(text.c_str(), stdout);
     return 0;
   }
-  if (command == "shutdown") {
-    Status s = client.shutdown();
-    if (!s.ok()) {
-      std::fprintf(stderr, "rlccd_client: %s\n", s.to_string().c_str());
-      return 1;
-    }
-    std::printf("draining\n");
-    return 0;
-  }
-  std::fprintf(stderr, "unknown command: %s\n", command.c_str());
-  usage(stderr);
-  return 2;
+  Status s = client.shutdown();
+  if (!s.ok()) return failed(s);
+  std::printf("draining\n");
+  return 0;
 }
 
 #endif  // _WIN32

@@ -22,13 +22,13 @@ int main() {
 #include <signal.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/log.h"
-#include "common/telemetry.h"
 #include "serve/daemon.h"
+#include "tools/common_args.h"
 
 using namespace rlccd;
 
@@ -40,86 +40,42 @@ void on_signal(int) {
   if (g_daemon != nullptr) g_daemon->request_shutdown();
 }
 
-void usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: rlccd_serve --socket PATH --root DIR [flags]\n"
-      "  --socket PATH          Unix socket to listen on (required)\n"
-      "  --root DIR             session workspace root (required)\n"
-      "  --workers N            concurrent job children (default 2)\n"
-      "  --queue-depth N        global queued-job bound (default 64)\n"
-      "  --session-queue N      queued jobs per session (default 32)\n"
-      "  --session-inflight N   running jobs per session (default 2)\n"
-      "  --retries N            retries per job (default 2)\n"
-      "  --job-deadline SEC     per-attempt SIGKILL deadline (default 300)\n"
-      "  --hb-timeout SEC       heartbeat-silence SIGKILL (default 10)\n"
-      "  --drain-timeout SEC    max graceful-drain wait (default 30)\n"
-      "  --backoff-base SEC     retry backoff base (default 0.05)\n"
-      "  --stats-interval SEC   kStatsWatch push cadence (default 0.25;\n"
-      "                         <= 0 disables streaming)\n"
-      "  --metrics-json PATH    dump telemetry registry at exit\n"
-      "  --metrics-prom PATH    dump Prometheus exposition at exit\n");
-}
-
-bool arg_value(int argc, char** argv, int& i, const char* name,
-               const char** out) {
-  if (std::strcmp(argv[i], name) != 0) return false;
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "%s needs a value\n", name);
-    std::exit(2);
-  }
-  *out = argv[++i];
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   set_log_level(LogLevel::Info);
   serve::ServeConfig cfg;
-  std::string metrics_json;
-  std::string metrics_prom;
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-      usage(stdout);
-      return 0;
-    } else if (arg_value(argc, argv, i, "--socket", &v)) {
-      cfg.socket_path = v;
-    } else if (arg_value(argc, argv, i, "--root", &v)) {
-      cfg.root_dir = v;
-    } else if (arg_value(argc, argv, i, "--workers", &v)) {
-      cfg.workers = std::atoi(v);
-    } else if (arg_value(argc, argv, i, "--queue-depth", &v)) {
-      cfg.queue.max_queue_depth = std::atoi(v);
-    } else if (arg_value(argc, argv, i, "--session-queue", &v)) {
-      cfg.queue.max_queued_per_session = std::atoi(v);
-    } else if (arg_value(argc, argv, i, "--session-inflight", &v)) {
-      cfg.queue.max_inflight_per_session = std::atoi(v);
-    } else if (arg_value(argc, argv, i, "--retries", &v)) {
-      cfg.job_retries = std::atoi(v);
-    } else if (arg_value(argc, argv, i, "--job-deadline", &v)) {
-      cfg.job_deadline_sec = std::atof(v);
-    } else if (arg_value(argc, argv, i, "--hb-timeout", &v)) {
-      cfg.heartbeat_timeout_sec = std::atof(v);
-    } else if (arg_value(argc, argv, i, "--drain-timeout", &v)) {
-      cfg.drain_timeout_sec = std::atof(v);
-    } else if (arg_value(argc, argv, i, "--backoff-base", &v)) {
-      cfg.retry_backoff_base_sec = std::atof(v);
-    } else if (arg_value(argc, argv, i, "--stats-interval", &v)) {
-      cfg.stats_push_interval_sec = std::atof(v);
-    } else if (arg_value(argc, argv, i, "--metrics-json", &v)) {
-      metrics_json = v;
-    } else if (arg_value(argc, argv, i, "--metrics-prom", &v)) {
-      metrics_prom = v;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      usage(stderr);
-      return 2;
-    }
-  }
+  tools::CommonArgs artifacts;
+  std::vector<tools::Arg> table = {
+      {"--socket", "PATH", "Unix socket to listen on (required)",
+       &cfg.socket_path},
+      {"--root", "DIR", "session workspace root (required)", &cfg.root_dir},
+      {"--workers", "N", "concurrent job children", &cfg.workers,
+       tools::kAtLeastOne},
+      {"--queue-depth", "N", "global queued-job bound",
+       &cfg.queue.max_queue_depth, tools::kCount},
+      {"--session-queue", "N", "queued jobs per session",
+       &cfg.queue.max_queued_per_session, tools::kCount},
+      {"--session-inflight", "N", "running jobs per session",
+       &cfg.queue.max_inflight_per_session, tools::kCount},
+      {"--retries", "N", "retries per job", &cfg.job_retries, tools::kCount},
+      {"--job-deadline", "SEC", "per-attempt SIGKILL deadline; <= 0 disables",
+       &cfg.job_deadline_sec},
+      {"--hb-timeout", "SEC", "heartbeat-silence SIGKILL; <= 0 disables",
+       &cfg.heartbeat_timeout_sec},
+      {"--drain-timeout", "SEC", "max graceful-drain wait",
+       &cfg.drain_timeout_sec},
+      {"--backoff-base", "SEC", "retry backoff base",
+       &cfg.retry_backoff_base_sec},
+      {"--stats-interval", "SEC",
+       "stats-watch push cadence; <= 0 disables streaming",
+       &cfg.stats_push_interval_sec},
+  };
+  tools::add_common_flags(table, artifacts,
+                          {"--metrics-json", "--metrics-prom"});
+  if (auto rc = tools::parse_args(argc, argv, table)) return *rc;
   if (cfg.socket_path.empty() || cfg.root_dir.empty()) {
-    usage(stderr);
+    std::fprintf(stderr, "--socket and --root are required\n");
     return 2;
   }
 
@@ -137,16 +93,7 @@ int main(int argc, char** argv) {
   ::sigaction(SIGINT, &sa, nullptr);
 
   const int rc = daemon.run();
-  if (!metrics_json.empty() &&
-      !MetricsRegistry::global().write_json(metrics_json)) {
-    std::fprintf(stderr, "rlccd_serve: failed to write %s\n",
-                 metrics_json.c_str());
-  }
-  if (!metrics_prom.empty() &&
-      !MetricsRegistry::global().write_prometheus(metrics_prom)) {
-    std::fprintf(stderr, "rlccd_serve: failed to write %s\n",
-                 metrics_prom.c_str());
-  }
+  if (!tools::write_common_artifacts(artifacts, nullptr)) return 1;
   return rc;
 }
 

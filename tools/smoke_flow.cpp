@@ -2,12 +2,12 @@
 // naive prioritization strategies, prints summaries. Not installed; used to
 // calibrate the substrate while developing.
 //
-//   smoke_flow [block] [scale] [trials] [--metrics-json PATH]
-//              [--metrics-csv PATH] [--trace-json PATH] [--progress]
+//   smoke_flow [flags] [block] [scale] [trials]
 //
 // --metrics-json / --metrics-csv write the process-wide telemetry registry
 // (counters, histograms, nested per-pass span trees) after all runs;
-// --trace-json records a Chrome-trace timeline of every span.
+// --trace-json records a Chrome-trace timeline of every span; --progress
+// streams per-pass events to stderr.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -25,25 +25,22 @@ using namespace rlccd;
 
 int main(int argc, char** argv) {
   set_log_level(LogLevel::Info);
+  std::string block_name = "block11";
+  double scale = 0.01;
+  int trials = 0;
   tools::CommonArgs args;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--metrics-json" && i + 1 < argc) {
-      args.metrics_json = argv[++i];
-    } else if (arg == "--metrics-csv" && i + 1 < argc) {
-      args.metrics_csv = argv[++i];
-    } else if (arg == "--trace-json" && i + 1 < argc) {
-      args.trace_json = argv[++i];
-    } else if (arg == "--progress") {
-      args.progress = true;
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  std::string block_name = !positional.empty() ? positional[0] : "block11";
-  double scale =
-      positional.size() > 1 ? std::atof(positional[1].c_str()) : 0.01;
+  std::vector<tools::Arg> table = {
+      {"[block]", nullptr, "Table II block name, block1..block19",
+       &block_name, {}, block_known},
+      {"[scale]", nullptr, "share of the paper's cell count, in (0, 1]",
+       &scale, tools::kScale},
+      {"[trials]", nullptr, "random selections tried after the fixed ones",
+       &trials, tools::kCount},
+  };
+  tools::add_common_flags(
+      table, args,
+      {"--metrics-json", "--metrics-csv", "--trace-json", "--progress"});
+  if (auto rc = tools::parse_args(argc, argv, table)) return *rc;
   std::unique_ptr<JsonlAuditWriter> no_audit;  // smoke_flow trains nothing
   if (!tools::open_common_artifacts(args, no_audit)) return 1;
 
@@ -106,7 +103,6 @@ int main(int argc, char** argv) {
   run_with("all-vio", vio);
 
   // Random search: does a good selection exist at all?
-  int trials = positional.size() > 2 ? std::atoi(positional[2].c_str()) : 0;
   double best_tns = -1e30;
   std::vector<PinId> best_sel;
   for (int i = 0; i < trials; ++i) {

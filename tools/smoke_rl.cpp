@@ -1,19 +1,18 @@
 // Developer smoke test: end-to-end RL-CCD training on one block.
 //
-//   smoke_rl [block] [scale] [iters] [common flags...]
+//   smoke_rl [flags] [block] [scale] [iters]
 //
-// The shared flags (tools/common_args.h, `smoke_rl --help` lists them)
-// mirror rlccd_cli: --trace-json records a Chrome-trace timeline,
-// --audit-jsonl streams RL decision provenance,
+// The flags are the twelve shared ones (tools/common_args.h, `smoke_rl
+// --help` lists them), as in rlccd_cli: --trace-json records a Chrome-trace
+// timeline, --audit-jsonl streams RL decision provenance,
 // --metrics-json/--metrics-csv dump the telemetry registry,
 // --checkpoint-dir/--resume/--rollout-deadline/--isolate-workers/
 // --max-worker-restarts drive fault tolerance, and --flow-cache-mb sizes
 // the rollout memoization cache. Feed the artifacts to rlccd_report.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/log.h"
 #include "common/telemetry.h"
@@ -24,49 +23,22 @@
 
 using namespace rlccd;
 
-namespace {
-
-void usage(std::FILE* out) {
-  std::fprintf(out, "usage: smoke_rl [block] [scale] [iters] %s\n",
-               tools::common_usage_fragment().c_str());
-  tools::print_common_help(out);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   set_log_level(LogLevel::Info);
   std::string block_name = "block11";
   double scale = 0.01;
   int iters = 12;
   tools::CommonArgs common;
-  int positional = 0;
-  bool ok = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0 ||
-        std::strcmp(argv[i], "-h") == 0) {
-      usage(stdout);
-      return 0;
-    }
-    if (tools::parse_common_flag(argc, argv, i, common, ok)) {
-      if (!ok) return 2;
-      continue;
-    }
-    if (positional == 0) {
-      block_name = argv[i];
-      ++positional;
-    } else if (positional == 1) {
-      scale = std::atof(argv[i]);
-      ++positional;
-    } else if (positional == 2) {
-      iters = std::atoi(argv[i]);
-      ++positional;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      usage(stderr);
-      return 2;
-    }
-  }
+  std::vector<tools::Arg> table = {
+      {"[block]", nullptr, "Table II block name, block1..block19",
+       &block_name, {}, block_known},
+      {"[scale]", nullptr, "share of the paper's cell count, in (0, 1]",
+       &scale, tools::kScale},
+      {"[iters]", nullptr, "REINFORCE iterations, also the patience", &iters,
+       tools::kCount},
+  };
+  tools::add_common_flags(table, common);
+  if (auto rc = tools::parse_args(argc, argv, table)) return *rc;
 
   std::unique_ptr<JsonlAuditWriter> audit;
   if (!tools::open_common_artifacts(common, audit)) return 1;
