@@ -6,7 +6,6 @@
 namespace rlccd {
 
 namespace {
-constexpr double kInf = 1e29;
 
 // Capacitance normalization scale (fF) — a heavily loaded net in this
 // library is a few tens of fF.
@@ -51,7 +50,7 @@ Tensor build_node_features(const FeatureContext& ctx) {
     row[9] = static_cast<float>(ctx.activity->toggle(out_net));
 
     double slack = sta.cell_worst_slack(c.id);
-    if (slack >= kInf) slack = period;  // untimed: comfortably met
+    if (slack >= kUntimed) slack = period;  // untimed: comfortably met
     row[10] = norm_clamp(slack, period);
 
     if (c.output.valid()) {

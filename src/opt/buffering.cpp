@@ -6,7 +6,8 @@
 namespace rlccd {
 
 namespace {
-constexpr double kInf = 1e30;
+// Drive of inserted buffers (BUF ladder index).
+constexpr int kBufferSizeIndex = 1;
 }
 
 BufferResult run_buffering(Sta& sta, Netlist& netlist,
@@ -29,7 +30,7 @@ BufferResult run_buffering(Sta& sta, Netlist& netlist,
     double hpwl = netlist.net_hpwl(n.id);
     if (hpwl < config.min_hpwl && n.sinks.size() < config.min_fanout) continue;
     double s = sta.slack(n.driver);
-    if (s >= 0.0 || s <= -kInf) continue;
+    if (s >= 0.0 || s <= -kUntimed) continue;
     candidates.push_back({n.id, s * (1.0 + hpwl)});
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -66,7 +67,7 @@ BufferResult run_buffering(Sta& sta, Netlist& netlist,
     double bx = 0.5 * (drv_cell.x + cx);
     double by = 0.5 * (drv_cell.y + cy);
 
-    LibCellId buf_lib = lib.pick(CellKind::Buf, config.buffer_size_index);
+    LibCellId buf_lib = lib.pick(CellKind::Buf, kBufferSizeIndex);
     CellId buf = netlist.add_cell(
         buf_lib, "opt_buf" + std::to_string(netlist.num_cells()));
     netlist.set_position(buf, bx, by);

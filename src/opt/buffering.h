@@ -15,7 +15,6 @@ struct BufferConfig {
   // Only consider nets at least this long (um) or with this many sinks.
   double min_hpwl = 20.0;
   std::size_t min_fanout = 4;
-  int buffer_size_index = 1;  // drive of inserted buffers (BUF ladder index)
 };
 
 struct BufferResult {

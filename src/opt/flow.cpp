@@ -12,6 +12,13 @@ namespace rlccd {
 
 namespace {
 
+// Data-path optimization rounds after CCD, and each round's move budgets as
+// fractions of the (real) cell count.
+constexpr int kDataRounds = 2;
+constexpr double kSizingBudgetFrac = 0.04;
+constexpr double kBufferBudgetFrac = 0.010;
+constexpr double kRestructureBudgetFrac = 0.02;
+
 double now_sec() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -123,7 +130,7 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
     for (PinId ep : input.prioritized) {
       if (!sta.is_endpoint(ep)) continue;
       double slack = sta.endpoint_slack(ep);
-      if (slack >= 1e29) continue;
+      if (slack >= kUntimed) continue;
       switch (config.margin_mode) {
         case MarginMode::OverFixToWns: {
           double margin = slack - pre.wns;  // >= 0 for any slack above WNS
@@ -162,15 +169,15 @@ void run_flow_steps(Netlist& netlist, const FlowInput& input,
   // 6. Remaining placement optimization.
   SizingConfig sizing;
   sizing.max_upsize_moves =
-      std::max(16, static_cast<int>(cells * config.sizing_budget_frac));
+      std::max(16, static_cast<int>(cells * kSizingBudgetFrac));
   BufferConfig buffering;
   buffering.max_buffers =
-      std::max(4, static_cast<int>(cells * config.buffer_budget_frac));
+      std::max(4, static_cast<int>(cells * kBufferBudgetFrac));
   RestructureConfig restructure;
   restructure.max_swaps =
-      std::max(8, static_cast<int>(cells * config.restructure_budget_frac));
+      std::max(8, static_cast<int>(cells * kRestructureBudgetFrac));
 
-  for (int round = 0; round < config.data_rounds; ++round) {
+  for (int round = 0; round < kDataRounds; ++round) {
     ScopedSpan round_span("data_round_" + std::to_string(round));
     const double t0 = now_sec();
     SizingResult sr = run_sizing(sta, netlist, sizing);

@@ -52,11 +52,6 @@ enum class MarginMode {
 struct FlowConfig {
   UsefulSkewConfig skew;             // main CCD useful-skew step
   UsefulSkewConfig skew_touchup;     // brief CCD re-balance after data opt
-  int data_rounds = 2;
-  // Budgets as fractions of the (real) cell count, per round.
-  double sizing_budget_frac = 0.04;
-  double buffer_budget_frac = 0.010;
-  double restructure_budget_frac = 0.02;
   int pre_ccd_sizing_moves = 48;
   MarginMode margin_mode = MarginMode::OverFixToWns;
   // Streams per-step ProgressEvents (phase "flow"); fires on the thread

@@ -7,7 +7,8 @@
 namespace rlccd {
 
 namespace {
-constexpr double kInf = 1e29;
+// Inserted delay buffers use the weakest drive: the largest delay per area.
+constexpr int kBufferSizeIndex = 0;
 }
 
 HoldFixResult run_hold_fix(Sta& sta, Netlist& netlist,
@@ -16,7 +17,7 @@ HoldFixResult run_hold_fix(Sta& sta, Netlist& netlist,
   HoldFixResult result;
   sta.update();
   const Library& lib = netlist.library();
-  const LibCellId buf_lib = lib.pick(CellKind::Buf, config.buffer_size_index);
+  const LibCellId buf_lib = lib.pick(CellKind::Buf, kBufferSizeIndex);
   const LibCell& buf = lib.cell(buf_lib);
   std::unordered_set<PinId> unfixable;
 
@@ -63,7 +64,7 @@ HoldFixResult run_hold_fix(Sta& sta, Netlist& netlist,
     std::vector<PinId> victims;
     for (PinId ep : sta.endpoints()) {
       double hs = sta.endpoint_hold_slack(ep);
-      if (hs < config.hold_guard && hs > -kInf && !unfixable.count(ep)) {
+      if (hs < config.hold_guard && hs > -kUntimed && !unfixable.count(ep)) {
         victims.push_back(ep);
       }
     }

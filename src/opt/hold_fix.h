@@ -14,7 +14,6 @@ namespace rlccd {
 
 struct HoldFixConfig {
   int max_buffers = 200;
-  int buffer_size_index = 0;   // weakest buffer = largest delay per area
   double setup_guard = 0.0;    // keep setup slack >= this while padding
   double hold_guard = 0.0;     // target hold slack
 };

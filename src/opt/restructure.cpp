@@ -7,8 +7,6 @@ namespace rlccd {
 
 namespace {
 
-constexpr double kInf = 1e30;
-
 bool is_commutative(CellKind kind) {
   switch (kind) {
     case CellKind::Nand2:
@@ -39,7 +37,7 @@ RestructureResult run_restructure(Sta& sta, Netlist& netlist,
     const LibCell& lc = netlist.lib_cell(c.id);
     if (!is_commutative(lc.kind) || c.inputs.size() < 2) continue;
     double s = sta.slack(c.output);
-    if (s < 0.0 && s > -kInf) candidates.push_back({c.id, s});
+    if (s < 0.0 && s > -kUntimed) candidates.push_back({c.id, s});
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {

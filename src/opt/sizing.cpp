@@ -6,7 +6,8 @@
 namespace rlccd {
 
 namespace {
-constexpr double kInf = 1e30;
+// Predicted local gain (ns) an upsize must beat to be committed.
+constexpr double kMinGain = 1e-5;
 }
 
 double estimate_resize_delta(const Sta& sta, const Netlist& netlist,
@@ -64,7 +65,7 @@ SizingResult run_sizing(Sta& sta, Netlist& netlist,
   for (const Cell& c : netlist.cells()) {
     if (netlist.is_port(c.id)) continue;
     double s = sta.cell_worst_slack(c.id);
-    if (s < 0.0 && s > -kInf) candidates.push_back({c.id, s});
+    if (s < 0.0 && s > -kUntimed) candidates.push_back({c.id, s});
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
@@ -77,7 +78,7 @@ SizingResult run_sizing(Sta& sta, Netlist& netlist,
     LibCellId up = lib.upsize(netlist.cell(cand.cell).lib);
     if (!up.valid()) continue;
     double delta = estimate_resize_delta(sta, netlist, cand.cell, up);
-    if (delta < -config.min_gain) {
+    if (delta < -kMinGain) {
       netlist.resize_cell(cand.cell, up);
       ++result.upsized;
       ++moves;
@@ -92,7 +93,7 @@ SizingResult run_sizing(Sta& sta, Netlist& netlist,
       if (down >= config.max_downsize_moves) break;
       if (netlist.is_port(c.id)) continue;
       double s = sta.cell_worst_slack(c.id);
-      if (s < config.downsize_slack_margin || s >= kInf) continue;
+      if (s < config.downsize_slack_margin || s >= kUntimed) continue;
       LibCellId dn = lib.downsize(c.lib);
       if (!dn.valid()) continue;
       double delta = estimate_resize_delta(sta, netlist, c.id, dn);

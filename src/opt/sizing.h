@@ -18,7 +18,6 @@ struct SizingConfig {
   int max_upsize_moves = 200;
   int max_downsize_moves = 0;        // 0 disables power recovery
   double downsize_slack_margin = 0.10;  // ns of slack required to downsize
-  double min_gain = 1e-5;            // ns of predicted local gain to commit
 };
 
 struct SizingResult {

@@ -7,7 +7,11 @@
 namespace rlccd {
 
 namespace {
-constexpr double kInf = 1e30;
+// Fraction of a flop's launch/capture imbalance applied per sweep.
+constexpr double kRate = 0.6;
+// Convergence threshold (ns): smaller moves are skipped, and a sweep whose
+// largest move is smaller ends the loop.
+constexpr double kMinMove = 1e-4;
 }
 
 UsefulSkewResult run_useful_skew(Sta& sta, const UsefulSkewConfig& config) {
@@ -25,12 +29,12 @@ UsefulSkewResult run_useful_skew(Sta& sta, const UsefulSkewConfig& config) {
       double in_slack = sta.endpoint_slack(c.inputs[0]);
       // Launch side: worst slack of the paths starting at this flop.
       double out_slack = sta.slack(c.output);
-      if (in_slack >= kInf && out_slack >= kInf) continue;
+      if (in_slack >= kUntimed && out_slack >= kUntimed) continue;
       // A flop with no timed capture (or launch) side can donate freely.
       in_slack = std::min(in_slack, 1e6);
       out_slack = std::min(out_slack, 1e6);
 
-      double move = config.rate * 0.5 * (out_slack - in_slack);
+      double move = kRate * 0.5 * (out_slack - in_slack);
       double delta = sta.clock().adjustment(f);
       // Skew bound.
       move = std::clamp(move, -config.max_abs_skew - delta,
@@ -38,16 +42,16 @@ UsefulSkewResult run_useful_skew(Sta& sta, const UsefulSkewConfig& config) {
       // Delaying capture eats this flop's own hold slack.
       if (move > 0.0) {
         double hold = sta.endpoint_hold_slack(c.inputs[0]);
-        if (hold < kInf) {
+        if (hold < kUntimed) {
           move = std::min(move, std::max(0.0, hold - config.hold_guard));
         }
       }
-      if (std::abs(move) < config.min_move) continue;
+      if (std::abs(move) < kMinMove) continue;
       sta.clock().set_adjustment(f, delta + move);
       max_move = std::max(max_move, std::abs(move));
     }
     ++result.sweeps;
-    if (max_move < config.min_move) break;
+    if (max_move < kMinMove) break;
   }
 
   sta.update();

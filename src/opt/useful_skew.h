@@ -22,9 +22,7 @@ namespace rlccd {
 struct UsefulSkewConfig {
   double max_abs_skew = 0.15;   // ns; bound on |delta| per flop
   int max_sweeps = 25;
-  double rate = 0.6;            // fraction of the imbalance applied per sweep
   double hold_guard = 0.0;      // keep endpoint hold slack >= this
-  double min_move = 1e-4;       // convergence threshold (ns)
 };
 
 struct UsefulSkewResult {

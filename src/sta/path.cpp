@@ -6,10 +6,6 @@
 
 namespace rlccd {
 
-namespace {
-constexpr double kInf = 1e29;
-}
-
 TimingPath extract_critical_path(const Sta& sta, PinId endpoint) {
   RLCCD_EXPECTS(sta.is_endpoint(endpoint));
   const Netlist& nl = sta.netlist();
@@ -49,7 +45,7 @@ TimingPath extract_critical_path(const Sta& sta, PinId endpoint) {
     const Pin& out_pin = nl.pin(drv);
     double load = out_pin.net.valid() ? nl.net_load_cap(out_pin.net) : 0.0;
     PinId best;
-    double best_gap = kInf;
+    double best_gap = kUntimed;
     double best_delay = 0.0;
     for (std::size_t i = 0; i < c.inputs.size(); ++i) {
       const PinTiming& in = sta.timing(c.inputs[i]);
@@ -73,7 +69,7 @@ TimingPath extract_critical_path(const Sta& sta, PinId endpoint) {
 
 TimingPath extract_worst_path(const Sta& sta) {
   PinId worst;
-  double worst_slack = kInf;
+  double worst_slack = kUntimed;
   for (PinId ep : sta.endpoints()) {
     double s = sta.endpoint_slack(ep);
     if (s < worst_slack) {

@@ -8,11 +8,13 @@
 namespace rlccd {
 
 namespace {
-constexpr double kInf = 1e30;
 // kOhm * fF = ps; convert wire Elmore products to ns.
 constexpr double kPsToNs = 1e-3;
 // Fraction of wire delay added to the propagated transition.
 constexpr double kWireSlewFactor = 0.3;
+// Arrival at primary inputs, and external margin at primary outputs (ns).
+constexpr double kInputDelay = 0.0;
+constexpr double kOutputDelay = 0.0;
 }  // namespace
 
 Sta::Sta(const Netlist* netlist, StaConfig config, double clock_period)
@@ -44,6 +46,8 @@ void Sta::flush_stats_to_registry() {
   flushed_stats_ = stats_;
 }
 
+// -- timing rules -------------------------------------------------------------
+
 double Sta::wire_delay(PinId sink) const {
   const Netlist& nl = *netlist_;
   const Pin& p = nl.pin(sink);
@@ -55,13 +59,93 @@ double Sta::wire_delay(PinId sink) const {
   return kPsToNs * r * (0.5 * c + sink_cap);
 }
 
-void Sta::set_margin(PinId endpoint, double margin) {
-  if (margins_.set(endpoint, margin)) margin_dirty_.push_back(endpoint);
+double Sta::output_load(const Cell& cell) const {
+  const Pin& out = netlist_->pin(cell.output);
+  return out.net.valid() ? netlist_->net_load_cap(out.net) : 0.0;
 }
 
-void Sta::clear_margins() {
-  for (PinId ep : margins_.active()) margin_dirty_.push_back(ep);
-  margins_.clear();
+PinTiming Sta::sink_timing(PinId sink) const {
+  const Netlist& nl = *netlist_;
+  PinTiming t{};
+  const Pin& p = nl.pin(sink);
+  if (!p.net.valid()) return t;
+  const PinId driver = nl.net(p.net).driver;
+  if (!driver.valid() || !store_.reachable(driver.index())) return t;
+  const std::size_t di = driver.index();
+  const double wd = wire_delay(sink);
+  t.arrival_max = store_.arrival_max(di) + wd;
+  t.arrival_min = store_.arrival_min(di) + wd;
+  t.slew = store_.slew(di) + kWireSlewFactor * wd;
+  t.reachable = true;
+  return t;
+}
+
+PinTiming Sta::clock_pin_timing(CellId flop) const {
+  const double arrival = clock_arrival(flop);
+  return {arrival, arrival, kClockSlew, 0.0, true};
+}
+
+PinTiming Sta::launch_timing(const Cell& cell) const {
+  const LibCell& lc = netlist_->library().cell(cell.lib);
+  const double load = output_load(cell);
+  double arrival = kInputDelay;
+  if (lc.is_sequential()) {
+    arrival = clock_arrival(cell.id) +
+              lc.arc_delay(/*input_pin=*/1, load, kClockSlew);
+  }
+  return {arrival, arrival, lc.output_slew(load), 0.0, true};
+}
+
+PinTiming Sta::comb_output_timing(const Cell& cell) const {
+  const LibCell& lc = netlist_->library().cell(cell.lib);
+  const double load = output_load(cell);
+  PinTiming t{};
+  double amax = -kUntimed;
+  double amin = kUntimed;
+  for (std::size_t i = 0; i < cell.inputs.size(); ++i) {
+    const std::size_t ii = cell.inputs[i].index();
+    if (!store_.reachable(ii)) continue;
+    const double d = lc.arc_delay(static_cast<int>(i), load, store_.slew(ii));
+    amax = std::max(amax, store_.arrival_max(ii) + d);
+    amin = std::min(amin, store_.arrival_min(ii) + d);
+    t.reachable = true;
+  }
+  if (t.reachable) {
+    t.arrival_max = amax;
+    t.arrival_min = amin;
+    t.slew = lc.output_slew(load);
+  }
+  return t;
+}
+
+template <class OnInput>
+double Sta::comb_required(const Cell& cell, OnInput&& on_input) const {
+  const LibCell& lc = netlist_->library().cell(cell.lib);
+  const double out_req = pull_from_sinks_value(cell.output);
+  const double load = output_load(cell);
+  for (std::size_t i = 0; i < cell.inputs.size(); ++i) {
+    const PinId in = cell.inputs[i];
+    double req = kUntimed;
+    if (out_req < kUntimed) {
+      req = out_req -
+            lc.arc_delay(static_cast<int>(i), load, store_.slew(in.index()));
+    }
+    on_input(in, req);
+  }
+  return out_req;
+}
+
+double Sta::pull_from_sinks_value(PinId driver_pin) const {
+  const Netlist& nl = *netlist_;
+  const Pin& p = nl.pin(driver_pin);
+  if (!p.net.valid()) return kUntimed;
+  double req = kUntimed;
+  for (PinId sink : nl.net(p.net).sinks) {
+    double sink_req = store_.required(sink.index());
+    if (sink_req >= kUntimed) continue;
+    req = std::min(req, sink_req - wire_delay(sink));
+  }
+  return req;
 }
 
 double Sta::endpoint_required(PinId endpoint) const {
@@ -72,7 +156,16 @@ double Sta::endpoint_required(PinId endpoint) const {
   if (lc.is_sequential()) {
     return clock_.period() + clock_arrival(p.cell) - lc.setup_time - margin;
   }
-  return clock_.period() - config_.output_delay - margin;
+  return clock_.period() - kOutputDelay - margin;
+}
+
+void Sta::set_margin(PinId endpoint, double margin) {
+  if (margins_.set(endpoint, margin)) margin_dirty_.push_back(endpoint);
+}
+
+void Sta::clear_margins() {
+  for (PinId ep : margins_.active()) margin_dirty_.push_back(ep);
+  margins_.clear();
 }
 
 void Sta::run() {
@@ -118,8 +211,7 @@ void Sta::update() {
     return;
   }
   const bool clock_dirty = !clock_.dirty_flops().empty();
-  if (pending.empty() && !clock_dirty && !clock_.period_dirty() &&
-      margin_dirty_.empty()) {
+  if (pending.empty() && !clock_dirty && margin_dirty_.empty()) {
     return;  // fully up to date
   }
   if (pending.size() > nl.num_cells()) {
@@ -226,23 +318,8 @@ void Sta::mark_forward_changed(CellId cell) {
 }
 
 int Sta::recompute_sink_pin(PinId sink) {
-  const Netlist& nl = *netlist_;
   const std::size_t si = sink.index();
-  PinTiming nt{};
-  const Pin& p = nl.pin(sink);
-  if (p.net.valid()) {
-    const Net& net = nl.net(p.net);
-    if (net.driver.valid()) {
-      const std::size_t di = net.driver.index();
-      if (store_.reachable(di)) {
-        double wd = wire_delay(sink);
-        nt.arrival_max = store_.arrival_max(di) + wd;
-        nt.arrival_min = store_.arrival_min(di) + wd;
-        nt.slew = store_.slew(di) + kWireSlewFactor * wd;
-        nt.reachable = true;
-      }
-    }
-  }
+  const PinTiming nt = sink_timing(sink);
   ++stats_.forward_pin_updates;
   int changed = 0;
   if (nt.slew != store_.slew(si) || nt.reachable != store_.reachable(si)) {
@@ -284,80 +361,33 @@ void Sta::recompute_source_forward(CellId cell_id) {
   const Netlist& nl = *netlist_;
   const Cell& c = nl.cell(cell_id);
   const LibCell& lc = nl.library().cell(c.lib);
-  if (lc.kind == CellKind::Input) {
-    const Pin& out = nl.pin(c.output);
-    double load = out.net.valid() ? nl.net_load_cap(out.net) : 0.0;
-    PinTiming nt{};
-    nt.arrival_max = config_.input_delay;
-    nt.arrival_min = config_.input_delay;
-    nt.slew = lc.output_slew(load);
-    nt.reachable = true;
+  if (lc.is_sequential()) {
+    ++stats_.forward_pin_updates;
+    store_.put_forward(c.inputs[1].index(), clock_pin_timing(cell_id));
+  }
+  if (lc.is_sequential() || lc.kind == CellKind::Input) {
+    const PinTiming nt = launch_timing(c);
     ++stats_.forward_pin_updates;
     if (!store_.forward_equal(c.output.index(), nt)) {
       store_.put_forward(c.output.index(), nt);
       mark_forward_changed(cell_id);
       propagate_output_change(c);
     }
-  } else if (lc.is_sequential()) {
-    double ck_arrival = clock_arrival(cell_id);
-    // CK pin timing (informational).
-    PinTiming nck{};
-    nck.arrival_max = ck_arrival;
-    nck.arrival_min = ck_arrival;
-    nck.slew = config_.clock_slew;
-    nck.reachable = true;
-    ++stats_.forward_pin_updates;
-    store_.put_forward(c.inputs[1].index(), nck);
-    // Q launch.
-    const Pin& out = nl.pin(c.output);
-    double load = out.net.valid() ? nl.net_load_cap(out.net) : 0.0;
-    PinTiming nq{};
-    double d = lc.arc_delay(/*input_pin=*/1, load, config_.clock_slew);
-    nq.arrival_max = ck_arrival + d;
-    nq.arrival_min = ck_arrival + d;
-    nq.slew = lc.output_slew(load);
-    nq.reachable = true;
-    ++stats_.forward_pin_updates;
-    if (!store_.forward_equal(c.output.index(), nq)) {
-      store_.put_forward(c.output.index(), nq);
-      mark_forward_changed(cell_id);
-      propagate_output_change(c);
-    }
-    // D pin: the cell may have moved or had its fanin rewired.
-    recompute_sink_pin(c.inputs[0]);
-  } else if (lc.kind == CellKind::Output) {
+  }
+  // Endpoint pin: the cell may have moved or had its fanin rewired.
+  if (lc.is_sequential() || lc.kind == CellKind::Output) {
     recompute_sink_pin(c.inputs[0]);
   }
 }
 
 void Sta::recompute_comb_forward(CellId cell_id) {
-  const Netlist& nl = *netlist_;
-  const Cell& c = nl.cell(cell_id);
-  const LibCell& lc = nl.library().cell(c.lib);
+  const Cell& c = netlist_->cell(cell_id);
   if (pull_stamp_[cell_id.index()] == enq_epoch_) {
     int in_changed = 0;
     for (PinId in : c.inputs) in_changed |= recompute_sink_pin(in);
     if ((in_changed & kPinElec) != 0) mark_forward_changed(cell_id);
   }
-  const Pin& out_pin = nl.pin(c.output);
-  double load = out_pin.net.valid() ? nl.net_load_cap(out_pin.net) : 0.0;
-  PinTiming nt{};
-  nt.arrival_max = -kInf;
-  nt.arrival_min = kInf;
-  for (std::size_t i = 0; i < c.inputs.size(); ++i) {
-    const std::size_t ii = c.inputs[i].index();
-    if (!store_.reachable(ii)) continue;
-    double d = lc.arc_delay(static_cast<int>(i), load, store_.slew(ii));
-    nt.arrival_max = std::max(nt.arrival_max, store_.arrival_max(ii) + d);
-    nt.arrival_min = std::min(nt.arrival_min, store_.arrival_min(ii) + d);
-    nt.reachable = true;
-  }
-  if (nt.reachable) {
-    nt.slew = lc.output_slew(load);
-  } else {
-    nt.arrival_max = 0.0;
-    nt.arrival_min = 0.0;
-  }
+  const PinTiming nt = comb_output_timing(c);
   ++stats_.forward_pin_updates;
   if (!store_.forward_equal(c.output.index(), nt)) {
     store_.put_forward(c.output.index(), nt);
@@ -408,19 +438,6 @@ void Sta::seed_backward_cell(CellId cell) {
   final_sources_.push_back(cell);
 }
 
-double Sta::pull_from_sinks_value(PinId driver_pin) const {
-  const Netlist& nl = *netlist_;
-  const Pin& p = nl.pin(driver_pin);
-  if (!p.net.valid()) return kInf;
-  double req = kInf;
-  for (PinId sink : nl.net(p.net).sinks) {
-    double sink_req = store_.required(sink.index());
-    if (sink_req >= kInf) continue;
-    req = std::min(req, sink_req - wire_delay(sink));
-  }
-  return req;
-}
-
 void Sta::reseed_endpoint(PinId endpoint, bool force) {
   if (!graph_.is_endpoint(endpoint)) return;
   double req = endpoint_required(endpoint);
@@ -431,25 +448,15 @@ void Sta::reseed_endpoint(PinId endpoint, bool force) {
 }
 
 void Sta::recompute_comb_backward(CellId cell_id) {
-  const Netlist& nl = *netlist_;
-  const Cell& c = nl.cell(cell_id);
-  const LibCell& lc = nl.library().cell(c.lib);
-  double out_req = pull_from_sinks_value(c.output);
+  const Cell& c = netlist_->cell(cell_id);
   ++stats_.backward_pin_updates;
-  store_.required(c.output.index()) = out_req;
-  const Pin& out_pin = nl.pin(c.output);
-  double load = out_pin.net.valid() ? nl.net_load_cap(out_pin.net) : 0.0;
-  for (std::size_t i = 0; i < c.inputs.size(); ++i) {
-    const std::size_t ii = c.inputs[i].index();
-    double nr = kInf;
-    if (out_req < kInf) {
-      nr = out_req - lc.arc_delay(static_cast<int>(i), load, store_.slew(ii));
-    }
+  const double out_req = comb_required(c, [&](PinId in, double req) {
     ++stats_.backward_pin_updates;
-    if (nr == store_.required(ii)) continue;
-    store_.required(ii) = nr;
-    push_required_source(c.inputs[i]);
-  }
+    if (req == store_.required(in.index())) return;
+    store_.required(in.index()) = req;
+    push_required_source(in);
+  });
+  store_.required(c.output.index()) = out_req;
 }
 
 void Sta::repull_output_required(CellId cell_id) {
@@ -466,18 +473,14 @@ void Sta::backward_incremental(std::span<const PinId> new_endpoints) {
   seen_epoch_ = ++epoch_;
   final_sources_.clear();
 
-  // Reseed endpoint required times whose inputs (period, skew, margin,
-  // setup time) may have changed.
-  if (clock_.period_dirty()) {
-    for (PinId ep : graph_.endpoints()) reseed_endpoint(ep, false);
-  } else {
-    for (PinId ep : margin_dirty_) reseed_endpoint(ep, false);
-    for (CellId f : clock_.dirty_flops()) {
-      reseed_endpoint(nl.cell(f).inputs[0], false);
-    }
-    for (CellId s : seeds_) {
-      if (nl.is_sequential(s)) reseed_endpoint(nl.cell(s).inputs[0], false);
-    }
+  // Reseed endpoint required times whose inputs (skew, margin, setup time)
+  // may have changed.
+  for (PinId ep : margin_dirty_) reseed_endpoint(ep, false);
+  for (CellId f : clock_.dirty_flops()) {
+    reseed_endpoint(nl.cell(f).inputs[0], false);
+  }
+  for (CellId s : seeds_) {
+    if (nl.is_sequential(s)) reseed_endpoint(nl.cell(s).inputs[0], false);
   }
   for (PinId ep : new_endpoints) reseed_endpoint(ep, true);
 
@@ -502,48 +505,6 @@ void Sta::backward_incremental(std::span<const PinId> new_endpoints) {
 
 // -- full passes --------------------------------------------------------------
 
-void Sta::forward_cell_kernel(CellId id) {
-  const Netlist& nl = *netlist_;
-  const Cell& c = nl.cell(id);
-  const LibCell& lc = nl.library().cell(c.lib);
-  const Pin& out_pin = nl.pin(c.output);
-  double load = out_pin.net.valid() ? nl.net_load_cap(out_pin.net) : 0.0;
-  const std::size_t oi = c.output.index();
-  double amax = -kInf;
-  double amin = kInf;
-  bool reach = false;
-  for (std::size_t i = 0; i < c.inputs.size(); ++i) {
-    const PinId sink = c.inputs[i];
-    const Pin& p = nl.pin(sink);
-    if (!p.net.valid()) continue;
-    const Net& net = nl.net(p.net);
-    if (!net.driver.valid()) continue;
-    const std::size_t di = net.driver.index();
-    if (!store_.reachable(di)) continue;
-    // Pull the input pin through its wire arc (the driver sits on a strictly
-    // lower level, so its timing is final).
-    const std::size_t ii = sink.index();
-    double wd = wire_delay(sink);
-    store_.arrival_max(ii) = store_.arrival_max(di) + wd;
-    store_.arrival_min(ii) = store_.arrival_min(di) + wd;
-    store_.slew(ii) = store_.slew(di) + kWireSlewFactor * wd;
-    store_.set_reachable(ii, true);
-    double d = lc.arc_delay(static_cast<int>(i), load, store_.slew(ii));
-    amax = std::max(amax, store_.arrival_max(ii) + d);
-    amin = std::min(amin, store_.arrival_min(ii) + d);
-    reach = true;
-  }
-  if (reach) {
-    store_.arrival_max(oi) = amax;
-    store_.arrival_min(oi) = amin;
-    store_.slew(oi) = lc.output_slew(load);
-  } else {
-    store_.arrival_max(oi) = 0.0;
-    store_.arrival_min(oi) = 0.0;
-  }
-  store_.set_reachable(oi, reach);
-}
-
 void Sta::forward_pass() {
   const Netlist& nl = *netlist_;
   store_.assign(nl.num_pins());
@@ -551,79 +512,35 @@ void Sta::forward_pass() {
   // Launch from startpoints: primary inputs and flop CK->Q arcs.
   for (const Cell& c : nl.cells()) {
     const LibCell& lc = nl.library().cell(c.lib);
-    if (lc.kind == CellKind::Input) {
-      const Pin& out = nl.pin(c.output);
-      double load = out.net.valid() ? nl.net_load_cap(out.net) : 0.0;
-      const std::size_t oi = c.output.index();
-      store_.arrival_max(oi) = config_.input_delay;
-      store_.arrival_min(oi) = config_.input_delay;
-      store_.slew(oi) = lc.output_slew(load);
-      store_.set_reachable(oi, true);
-    } else if (lc.is_sequential()) {
-      double ck_arrival = clock_arrival(c.id);
-      // CK pin timing (informational).
-      const std::size_t cki = c.inputs[1].index();
-      store_.arrival_max(cki) = ck_arrival;
-      store_.arrival_min(cki) = ck_arrival;
-      store_.slew(cki) = config_.clock_slew;
-      store_.set_reachable(cki, true);
-      // Q launch.
-      const Pin& out = nl.pin(c.output);
-      double load = out.net.valid() ? nl.net_load_cap(out.net) : 0.0;
-      double d = lc.arc_delay(/*input_pin=*/1, load, config_.clock_slew);
-      const std::size_t oi = c.output.index();
-      store_.arrival_max(oi) = ck_arrival + d;
-      store_.arrival_min(oi) = ck_arrival + d;
-      store_.slew(oi) = lc.output_slew(load);
-      store_.set_reachable(oi, true);
+    if (lc.is_sequential()) {
+      store_.put_forward(c.inputs[1].index(), clock_pin_timing(c.id));
+    }
+    if (lc.is_sequential() || lc.kind == CellKind::Input) {
+      store_.put_forward(c.output.index(), launch_timing(c));
     }
   }
 
-  // Combinational propagation in ascending level order.
-  for (CellId cell : graph_.order()) forward_cell_kernel(cell);
+  // Combinational propagation in ascending level order: each input pin
+  // pulls from a driver on a strictly lower level, whose timing is final.
+  for (CellId cell : graph_.order()) {
+    const Cell& c = nl.cell(cell);
+    for (PinId in : c.inputs) store_.put_forward(in.index(), sink_timing(in));
+    store_.put_forward(c.output.index(), comb_output_timing(c));
+  }
 
   // Endpoint pins (flop D, primary-output inputs) receive their net arcs.
   for (const Cell& c : nl.cells()) {
     const LibCell& lc = nl.library().cell(c.lib);
-    if (!lc.is_sequential() && lc.kind != CellKind::Output) continue;
-    const PinId sink = c.inputs[0];
-    const Pin& p = nl.pin(sink);
-    if (!p.net.valid()) continue;
-    const Net& net = nl.net(p.net);
-    if (!net.driver.valid()) continue;
-    const std::size_t di = net.driver.index();
-    if (!store_.reachable(di)) continue;
-    const std::size_t ii = sink.index();
-    double wd = wire_delay(sink);
-    store_.arrival_max(ii) = store_.arrival_max(di) + wd;
-    store_.arrival_min(ii) = store_.arrival_min(di) + wd;
-    store_.slew(ii) = store_.slew(di) + kWireSlewFactor * wd;
-    store_.set_reachable(ii, true);
-  }
-}
-
-void Sta::backward_cell_kernel(CellId id) {
-  const Netlist& nl = *netlist_;
-  const Cell& c = nl.cell(id);
-  const LibCell& lc = nl.library().cell(c.lib);
-  // Pull through the output net: sink requireds live on this cell's
-  // consumers (strictly higher levels) or endpoint pins (seeded).
-  double out_req = pull_from_sinks_value(c.output);
-  store_.required(c.output.index()) = out_req;
-  const Pin& out_pin = nl.pin(c.output);
-  double load = out_pin.net.valid() ? nl.net_load_cap(out_pin.net) : 0.0;
-  for (std::size_t i = 0; i < c.inputs.size(); ++i) {
-    const std::size_t ii = c.inputs[i].index();
-    if (out_req >= kInf) continue;
-    double d = lc.arc_delay(static_cast<int>(i), load, store_.slew(ii));
-    store_.required(ii) = out_req - d;
+    if (lc.is_sequential() || lc.kind == CellKind::Output) {
+      store_.put_forward(c.inputs[0].index(), sink_timing(c.inputs[0]));
+    }
   }
 }
 
 void Sta::backward_pass() {
   const Netlist& nl = *netlist_;
   std::vector<double>& required = store_.required_array();
-  std::fill(required.begin(), required.end(), kInf);
+  std::fill(required.begin(), required.end(), kUntimed);
 
   // Seed endpoint required times.
   for (PinId ep : graph_.endpoints()) {
@@ -633,7 +550,11 @@ void Sta::backward_pass() {
   // Descending level order: consumers' input requireds exist before the
   // producing cell pulls them through its output net.
   std::span<const CellId> order = graph_.order();
-  for (std::size_t i = order.size(); i-- > 0;) backward_cell_kernel(order[i]);
+  for (std::size_t i = order.size(); i-- > 0;) {
+    const Cell& c = nl.cell(order[i]);
+    required[c.output.index()] = comb_required(
+        c, [&](PinId in, double req) { required[in.index()] = req; });
+  }
 
   // Startpoint output pins (flop Q, primary inputs).
   for (const Cell& c : nl.cells()) {
@@ -649,7 +570,7 @@ void Sta::backward_pass() {
 double Sta::slack(PinId pin) const {
   const std::size_t i = pin.index();
   RLCCD_EXPECTS(i < store_.size());
-  if (!store_.reachable(i) || store_.required(i) >= kInf) return kInf;
+  if (!store_.reachable(i) || store_.required(i) >= kUntimed) return kUntimed;
   return store_.required(i) - store_.arrival_max(i);
 }
 
@@ -666,7 +587,7 @@ double Sta::cell_worst_slack(CellId cell_id) const {
 double Sta::endpoint_slack(PinId endpoint) const {
   RLCCD_EXPECTS(is_endpoint(endpoint));
   const std::size_t i = endpoint.index();
-  if (!store_.reachable(i)) return kInf;
+  if (!store_.reachable(i)) return kUntimed;
   return store_.required(i) - store_.arrival_max(i);
 }
 
@@ -675,9 +596,9 @@ double Sta::endpoint_hold_slack(PinId endpoint) const {
   const Netlist& nl = *netlist_;
   const Pin& p = nl.pin(endpoint);
   const std::size_t i = endpoint.index();
-  if (!store_.reachable(i)) return kInf;
+  if (!store_.reachable(i)) return kUntimed;
   const LibCell& lc = nl.lib_cell(p.cell);
-  if (!lc.is_sequential()) return kInf;  // no hold check at primary outputs
+  if (!lc.is_sequential()) return kUntimed;  // no hold check at primary outputs
   double capture = clock_arrival(p.cell);
   return store_.arrival_min(i) - (capture + lc.hold_time);
 }
@@ -687,7 +608,7 @@ std::vector<double> Sta::endpoint_slacks(
   std::vector<double> slacks;
   slacks.reserve(endpoints.size());
   for (PinId ep : endpoints) {
-    slacks.push_back(is_endpoint(ep) ? endpoint_slack(ep) : kInf);
+    slacks.push_back(is_endpoint(ep) ? endpoint_slack(ep) : kUntimed);
   }
   return slacks;
 }
@@ -696,7 +617,7 @@ std::vector<PinId> Sta::endpoint_violations() const {
   std::vector<PinId> out;
   for (PinId ep : graph_.endpoints()) {
     double s = endpoint_slack(ep);
-    if (s < 0.0 && s > -kInf) out.push_back(ep);
+    if (s < 0.0 && s > -kUntimed) out.push_back(ep);
   }
   return out;
 }
@@ -704,10 +625,10 @@ std::vector<PinId> Sta::endpoint_violations() const {
 TimingSummary Sta::summary() const {
   TimingSummary s;
   s.num_endpoints = graph_.endpoints().size();
-  s.worst_hold_slack = kInf;
+  s.worst_hold_slack = kUntimed;
   for (PinId ep : graph_.endpoints()) {
     double sl = endpoint_slack(ep);
-    if (sl >= kInf) continue;  // unconstrained (kInf sentinel, not a number)
+    if (sl >= kUntimed) continue;  // unconstrained (a sentinel, not a number)
     RLCCD_CHECK_FINITE(sl);
     if (sl < 0.0) {
       s.wns = std::min(s.wns, sl);

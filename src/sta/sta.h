@@ -18,16 +18,21 @@
 // field, indexed by pin. Callers go through accessors (timing()/slack()/
 // per-field getters) and never see the layout.
 //
-// Two evaluation modes:
+// Each timing rule (an input pin through its wire arc, a flop's CK pin, a
+// startpoint's launch, a combinational cell's output, its required times)
+// is one private function, shared by the two evaluation modes:
 //   * run()    — full recompute of every pin (always correct, O(pins)):
 //     one serial sweep over the levelized graph in ascending level order
-//     (arrivals), then in descending order (required times).
+//     (arrivals), then in descending order (required times), storing every
+//     rule's result.
 //   * update() — incremental: consumes the netlist's mutation journal, the
 //     clock schedule's dirty-flop list and pending margin edits, then
 //     re-propagates only the affected cones level-by-level over the
-//     levelized TimingGraph, stopping as soon as recomputed values stop
-//     changing. Produces bit-identical results to run() — recomputed pins
-//     see identical inputs, so untouched cones keep identical values.
+//     levelized TimingGraph, comparing each rule's result with the stored
+//     value and stopping as soon as recomputed values stop changing.
+//     Produces bit-identical results to run() — recomputed pins see
+//     identical inputs through the same rules, so untouched cones keep
+//     identical values.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +48,13 @@
 
 namespace rlccd {
 
+// Slack and required time of an untimed pin or endpoint. No timed value
+// comes near it, so callers test `>= kUntimed` (or `<= -kUntimed`).
+inline constexpr double kUntimed = 1e30;
+// Transition at every flop's CK pin under the ideal clock (ns).
+inline constexpr double kClockSlew = 0.02;
+
 struct StaConfig {
-  double input_delay = 0.0;    // arrival at primary inputs (ns)
-  double output_delay = 0.0;   // external margin at primary outputs (ns)
-  double clock_slew = 0.02;    // transition at flop CK pins (ns)
   // When false, update() always falls back to a full run() — the
   // pre-incremental behavior, kept selectable for benchmarking.
   bool incremental = true;
@@ -114,10 +122,6 @@ class Sta {
     RLCCD_EXPECTS(pin.index() < store_.size());
     return store_.arrival_min(pin.index());
   }
-  [[nodiscard]] double pin_slew(PinId pin) const {
-    RLCCD_EXPECTS(pin.index() < store_.size());
-    return store_.slew(pin.index());
-  }
   [[nodiscard]] double required(PinId pin) const {
     RLCCD_EXPECTS(pin.index() < store_.size());
     return store_.required(pin.index());
@@ -151,9 +155,6 @@ class Sta {
 
   [[nodiscard]] TimingSummary summary() const;
 
-  // Wire arc delay from a net's driver to a specific sink pin (ns).
-  [[nodiscard]] double wire_delay(PinId sink) const;
-
   [[nodiscard]] const StaStats& stats() const { return stats_; }
   void reset_stats() {
     stats_ = StaStats{};
@@ -161,16 +162,33 @@ class Sta {
   }
 
  private:
+  // -- timing rules -----------------------------------------------------------
+  // Each returns a value and stores nothing: the full passes store it, the
+  // frontier compares it with the stored value first. None counts work.
+  // Declared inline (and defined in sta.cpp, their only user) so that GCC
+  // inlines them into both sweeps: as plain members it left them as calls,
+  // and bench_incremental's full and incremental times rose by 9-20%.
+  // An input pin through its net's wire arc; unreachable (all zero) when
+  // the net has no timed driver.
+  [[nodiscard]] inline PinTiming sink_timing(PinId sink) const;
+  // A flop's CK pin: the ideal clock's arrival at this flop.
+  [[nodiscard]] inline PinTiming clock_pin_timing(CellId flop) const;
+  // A startpoint's output: a primary input, or a flop's CK->Q launch.
+  [[nodiscard]] inline PinTiming launch_timing(const Cell& cell) const;
+  // A combinational cell's output from the worst arc of its stored inputs.
+  [[nodiscard]] inline PinTiming comb_output_timing(const Cell& cell) const;
+  // A combinational cell's output required time, pulled from its net's
+  // sinks (returned), and each input pin's through the cell arcs, passed
+  // to on_input(pin, required).
+  template <class OnInput>
+  inline double comb_required(const Cell& cell, OnInput&& on_input) const;
+  // Wire arc delay from a net's driver to a specific sink pin (ns).
+  [[nodiscard]] double wire_delay(PinId sink) const;
+  [[nodiscard]] inline double output_load(const Cell& cell) const;
+
   // -- full passes ------------------------------------------------------------
   void forward_pass();
   void backward_pass();
-  // Forward-propagates one cell's pins: input pins pulled from their
-  // driving nets, output pin from the worst input arc. Reads only
-  // lower-level values, so any order within a level gives the same result.
-  void forward_cell_kernel(CellId cell);
-  // Backward analog: output required pulled from the net's sinks, input
-  // requireds derived through the cell arcs.
-  void backward_cell_kernel(CellId cell);
 
   // -- incremental machinery --------------------------------------------------
   void collect_seeds(std::span<const Mutation> pending);
@@ -183,10 +201,11 @@ class Sta {
   // kPinElec changes seed the backward pass.
   static constexpr int kPinArrival = 1;
   static constexpr int kPinElec = 2;  // slew or reachability changed
-  // Recomputes an input pin's arrival/slew from its driving net; preserves
-  // the pin's required time. Returns a bitmask of kPin* changes (0 = none).
+  // Re-applies sink_timing to an input pin, keeping its required time.
+  // Returns a bitmask of kPin* changes (0 = none).
   int recompute_sink_pin(PinId sink);
-  // Recomputes launch (and endpoint-input) pins of a port/flop seed.
+  // Recomputes a port/flop seed: a flop's CK pin first, then the launch and
+  // its propagation, then the endpoint (D or output-port) pin.
   void recompute_source_forward(CellId cell);
   void recompute_comb_forward(CellId cell);
   void propagate_output_change(const Cell& cell);

@@ -19,8 +19,8 @@
 
 namespace rlccd {
 
-// Materialized per-pin view (the pre-SoA struct, kept as the value type
-// returned by Sta::timing()).
+// Materialized per-pin view: the value type Sta::timing() returns and the
+// STA's forward timing rules compute.
 struct PinTiming {
   double arrival_max = 0.0;
   double arrival_min = 0.0;
@@ -76,13 +76,6 @@ class TimingStore {
     RLCCD_EXPECTS(i < size());
     return {arrival_max_[i], arrival_min_[i], slew_[i], required_[i],
             reachable_[i] != 0};
-  }
-  void put(std::size_t i, const PinTiming& t) {
-    arrival_max_[i] = t.arrival_max;
-    arrival_min_[i] = t.arrival_min;
-    slew_[i] = t.slew;
-    required_[i] = t.required;
-    reachable_[i] = static_cast<std::uint8_t>(t.reachable);
   }
   // Stores the forward fields only, preserving the pin's required time.
   void put_forward(std::size_t i, const PinTiming& t) {

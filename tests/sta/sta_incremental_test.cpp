@@ -1,8 +1,9 @@
 // Randomized equivalence: after an arbitrary sequence of journaled netlist
 // mutations (resizes, buffer insertions, skew edits, margin changes, cell
-// moves), an incremental Sta::update() must be bit-identical to a
-// from-scratch Sta::run(): recomputed pins see identical operands, so the
-// comparisons use operator== on doubles, not a tolerance.
+// moves, input-pin swaps), an incremental Sta::update() must be
+// bit-identical to a from-scratch Sta::run() on every field of every pin:
+// recomputed pins see identical operands, so the comparisons use
+// operator== on doubles, not a tolerance.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,6 +41,26 @@ void insert_buffer(Netlist& nl, NetId net_id, Rng& rng) {
   nl.update_wire_parasitics();
 }
 
+// Every timing field of every pin, reachable or not, must be equal.
+void expect_same_timing(const Sta& inc, const Sta& ref, const Netlist& nl,
+                        int step) {
+  ASSERT_EQ(inc.endpoints().size(), ref.endpoints().size());
+  for (std::uint32_t i = 0; i < nl.num_pins(); ++i) {
+    const PinTiming ti = inc.timing(PinId(i));
+    const PinTiming tr = ref.timing(PinId(i));
+    ASSERT_EQ(ti.reachable, tr.reachable)
+        << "pin " << i << " reachable diverged at step " << step;
+    ASSERT_EQ(ti.required, tr.required)
+        << "pin " << i << " required diverged at step " << step;
+    ASSERT_EQ(ti.arrival_max, tr.arrival_max)
+        << "pin " << i << " arrival_max diverged at step " << step;
+    ASSERT_EQ(ti.arrival_min, tr.arrival_min)
+        << "pin " << i << " arrival_min diverged at step " << step;
+    ASSERT_EQ(ti.slew, tr.slew)
+        << "pin " << i << " slew diverged at step " << step;
+  }
+}
+
 TEST_P(StaIncrementalTest, UpdateMatchesFullRunUnderRandomMutations) {
   GeneratorConfig cfg;
   cfg.name = "inc";
@@ -55,16 +76,22 @@ TEST_P(StaIncrementalTest, UpdateMatchesFullRunUnderRandomMutations) {
 
   Rng rng(GetParam() * 7919 + 13);
   std::vector<CellId> real_cells;
+  std::vector<CellId> two_input_gates;  // the restructure pass's swap sites
   for (const Cell& c : nl.cells()) {
-    if (!nl.is_port(c.id)) real_cells.push_back(c.id);
+    if (nl.is_port(c.id)) continue;
+    real_cells.push_back(c.id);
+    if (!nl.is_sequential(c.id) && c.inputs.size() == 2) {
+      two_input_gates.push_back(c.id);
+    }
   }
   std::vector<CellId> flops = nl.sequential_cells();
+  int swaps = 0;
 
   for (int step = 0; step < 60; ++step) {
     // One random mutation batch (1-4 edits before the next update).
     int edits = 1 + static_cast<int>(rng.uniform_int(std::uint64_t{4}));
     for (int e = 0; e < edits; ++e) {
-      switch (rng.uniform_int(std::uint64_t{6})) {
+      switch (rng.uniform_int(std::uint64_t{7})) {
         case 0: {  // resize up or down
           CellId c = real_cells[rng.uniform_int(real_cells.size())];
           LibCellId next = (rng.uniform() < 0.5) ? lib.upsize(nl.cell(c).lib)
@@ -109,6 +136,19 @@ TEST_P(StaIncrementalTest, UpdateMatchesFullRunUnderRandomMutations) {
           }
           break;
         }
+        case 6: {  // input-pin swap, as the restructure pass does
+          if (two_input_gates.empty()) break;
+          CellId c =
+              two_input_gates[rng.uniform_int(two_input_gates.size())];
+          const Cell& cell = nl.cell(c);
+          if (!nl.pin(cell.inputs[0]).net.valid() ||
+              !nl.pin(cell.inputs[1]).net.valid()) {
+            break;
+          }
+          nl.swap_input_nets(c, 0, 1);
+          ++swaps;
+          break;
+        }
       }
     }
 
@@ -125,25 +165,8 @@ TEST_P(StaIncrementalTest, UpdateMatchesFullRunUnderRandomMutations) {
     }
     ref.run();
 
-    ASSERT_EQ(inc.endpoints().size(), ref.endpoints().size());
-    // Every pin's required time and reachability, and the forward fields of
-    // every reachable pin (an unreachable pin's arrival is never read: its
-    // slack is +inf).
-    for (std::uint32_t i = 0; i < nl.num_pins(); ++i) {
-      const PinTiming ti = inc.timing(PinId(i));
-      const PinTiming tr = ref.timing(PinId(i));
-      ASSERT_EQ(ti.reachable, tr.reachable)
-          << "pin " << i << " reachable diverged at step " << step;
-      ASSERT_EQ(ti.required, tr.required)
-          << "pin " << i << " required diverged at step " << step;
-      if (!tr.reachable) continue;
-      ASSERT_EQ(ti.arrival_max, tr.arrival_max)
-          << "pin " << i << " arrival_max diverged at step " << step;
-      ASSERT_EQ(ti.arrival_min, tr.arrival_min)
-          << "pin " << i << " arrival_min diverged at step " << step;
-      ASSERT_EQ(ti.slew, tr.slew)
-          << "pin " << i << " slew diverged at step " << step;
-    }
+    expect_same_timing(inc, ref, nl, step);
+    if (HasFatalFailure()) return;
     TimingSummary a = inc.summary();
     TimingSummary b = ref.summary();
     ASSERT_EQ(a.tns, b.tns);
@@ -151,8 +174,10 @@ TEST_P(StaIncrementalTest, UpdateMatchesFullRunUnderRandomMutations) {
     ASSERT_EQ(a.nve, b.nve);
   }
 
-  // The incremental engine must actually have taken the incremental path.
+  // The incremental engine must actually have taken the incremental path,
+  // through every kind of edit.
   EXPECT_GT(inc.stats().incremental_updates, 0u);
+  EXPECT_GT(swaps, 0);
 }
 
 // update() re-levels structural edits without rebuilding the level order;
@@ -178,17 +203,7 @@ TEST(StaIncremental, FullRunAfterStructuralUpdateMatchesFreshEngine) {
 
   Sta ref(&nl, d.sta_config, d.clock_period);
   ref.run();
-  ASSERT_EQ(inc.endpoints().size(), ref.endpoints().size());
-  for (std::uint32_t i = 0; i < nl.num_pins(); ++i) {
-    const PinTiming ti = inc.timing(PinId(i));
-    const PinTiming tr = ref.timing(PinId(i));
-    ASSERT_EQ(ti.reachable, tr.reachable) << "pin " << i;
-    ASSERT_EQ(ti.required, tr.required) << "pin " << i;
-    if (!tr.reachable) continue;
-    ASSERT_EQ(ti.arrival_max, tr.arrival_max) << "pin " << i;
-    ASSERT_EQ(ti.arrival_min, tr.arrival_min) << "pin " << i;
-    ASSERT_EQ(ti.slew, tr.slew) << "pin " << i;
-  }
+  expect_same_timing(inc, ref, nl, /*step=*/0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StaIncrementalTest,

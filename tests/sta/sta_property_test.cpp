@@ -8,8 +8,6 @@
 namespace rlccd {
 namespace {
 
-constexpr double kInf = 1e29;
-
 struct Params {
   std::size_t cells;
   TechNode tech;
@@ -44,7 +42,7 @@ TEST_P(StaPropertyTest, ArrivalsRespectArcEquations) {
     const Pin& out_pin = nl.pin(c.output);
     double load =
         out_pin.net.valid() ? nl.net_load_cap(out_pin.net) : 0.0;
-    double expect_max = -kInf, expect_min = kInf;
+    double expect_max = -kUntimed, expect_min = kUntimed;
     for (std::size_t i = 0; i < c.inputs.size(); ++i) {
       const PinTiming& in = sta.timing(c.inputs[i]);
       if (!in.reachable) continue;
@@ -68,7 +66,7 @@ TEST_P(StaPropertyTest, SummaryIsConsistentWithEndpointSlacks) {
   std::size_t nve = 0;
   for (PinId ep : sta.endpoints()) {
     double sl = sta.endpoint_slack(ep);
-    if (sl >= kInf) continue;
+    if (sl >= kUntimed) continue;
     if (sl < 0.0) {
       tns += sl;
       wns = std::min(wns, sl);

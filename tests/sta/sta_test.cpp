@@ -37,7 +37,7 @@ TEST(Sta, ArrivalMatchesManualArcComputation) {
   const LibCell& buf_lc = nl.lib_cell(buf);
 
   double q_load = nl.net_load_cap(nl.pin(nl.cell(p.ff1).output).net);
-  double q_arr = ff_lc.arc_delay(1, q_load, StaConfig{}.clock_slew);
+  double q_arr = ff_lc.arc_delay(1, q_load, kClockSlew);
   double q_slew = ff_lc.output_slew(q_load);
 
   double buf_load = nl.net_load_cap(nl.pin(nl.cell(buf).output).net);
